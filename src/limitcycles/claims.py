@@ -1,0 +1,34 @@
+"""The paper's published numbers and accuracy bounds, each stated once.
+
+The report bundle's discrepancy notes, the acceptance tests, the calibration
+presets and the tuned expansion's linear tail all read these values, so a
+published claim and the check made of it cannot drift apart.  Bounds on
+relative errors are in percent.
+"""
+
+from .oscillators import RAYLEIGH, VAN_DER_POL
+
+# Exact amplitudes as ``(system, eps, published a(eps), tolerance)``; the
+# tolerance is how far a recomputed amplitude may sit from the published one.
+RAYLEIGH_A1 = (RAYLEIGH, 1.0, 2.17271, 0.002)  # Rayleigh: a(1) = 2.17271
+RAYLEIGH_A7 = (RAYLEIGH, 7.0, 5.63108, 0.01)  # Rayleigh: a(7) = 5.63108
+VDP_A1 = (VAN_DER_POL, 1.0, 2.0086, 0.002)  # van der Pol: a(1) = 2.0086
+ANCHORS = (RAYLEIGH_A1, RAYLEIGH_A7, VDP_A1)
+
+# The tuned second-order expansion stays within 1% of the exact amplitude.
+HAM_BOUND = 1.0
+# The two-branch van der Pol fit stays within 0.05% of the exact amplitude.
+VDP_FIT_BOUND = 0.05
+# Secondary bound: the tuned amplitude jumps by at most 0.02 at a breakpoint
+# of the step-control law.
+SEAM_BOUND = 0.02
+
+# The van der Pol amplitude has its maximum "roughly at 2.0235", read as the
+# peak value; the tolerance is one unit in the last published digit.
+VDP_PEAK = 2.0235
+VDP_PEAK_TOL = 1e-4
+
+# Published integration constants of the calibrated closed forms, fixed by
+# the boundary amplitudes a(1) above.
+RAYLEIGH_CONSTANT = 0.87953
+VDP_CONSTANT = 4.08785

@@ -28,20 +28,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import geometry
+from .claims import ANCHORS, HAM_BOUND, SEAM_BOUND, VDP_FIT_BOUND, VDP_PEAK
 from .errors import ConvergenceError, DomainError
 from .ham import (
-    B_TABLE,
     DEFAULT_CONTROL,
     TABLE_ONLY_CONTROL,
     HamControl,
-    LinearTail,
     amplitude_ham,
     breakpoint_jumps,
     control_h,
@@ -115,60 +114,14 @@ class RunConfig:
             )
 
     def to_dict(self) -> dict:
-        cfg = self.integrator
-        control = self.ham_control
-        return {
-            "system": self.system,
-            "eps_grid": list(self.eps_grid),
-            "integrator": {
-                "method": cfg.method,
-                "rel_tol": cfg.rel_tol,
-                "abs_tol": cfg.abs_tol,
-                "transient_time": cfg.transient_time,
-                "cycle_tol": cfg.cycle_tol,
-                "max_cycles": cfg.max_cycles,
-                "seed": list(cfg.seed),
-                "n_samples": cfg.n_samples,
-            },
-            "ham_control": {
-                "b_table": [list(row) for row in control.b_table],
-                "tail": None
-                if control.tail is None
-                else {
-                    "slope": control.tail.slope,
-                    "intercept": control.tail.intercept,
-                    "eps_switch": control.tail.eps_switch,
-                },
-            },
-            "irgm_preset": self.irgm_preset,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        defaults = cls()
-        integrator = defaults.integrator
-        if "integrator" in data:
-            raw = dict(data["integrator"])
-            if "seed" in raw:
-                raw["seed"] = tuple(raw["seed"])
-            integrator = IntegratorConfig(**raw)
-        control = defaults.ham_control
-        if "ham_control" in data:
-            raw = data["ham_control"]
-            tail = raw.get("tail")
-            control = HamControl(
-                b_table=tuple(tuple(row) for row in raw["b_table"]),
-                tail=None if tail is None else LinearTail(**tail),
-            )
-        return cls(
-            system=data.get("system", defaults.system),
-            eps_grid=tuple(data.get("eps_grid", defaults.eps_grid)),
-            integrator=integrator,
-            ham_control=control,
-            irgm_preset=data.get("irgm_preset", defaults.irgm_preset),
-            output_dir=data.get("output_dir", defaults.output_dir),
-        )
+        """Inverse of :meth:`to_dict`; a missing key keeps its default."""
+        if not isinstance(data, dict):
+            raise DomainError("a run config must be a JSON object")
+        return _from_plain(cls(), data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -178,12 +131,25 @@ class RunConfig:
         return cls.from_dict(json.loads(text))
 
 
+def _from_plain(default, value):
+    """Rebuild JSON ``value`` in the shape of ``default``: objects update the
+    default dataclass field by field, lists become tuples."""
+    if isinstance(value, list):
+        return tuple(_from_plain(None, v) for v in value)
+    if isinstance(value, dict) and is_dataclass(default):
+        return replace(
+            default,
+            **{k: _from_plain(getattr(default, k, None), v) for k, v in value.items()},
+        )
+    return value
+
+
 def _load_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
         return RunConfig.from_json(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, TypeError) as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from None
 
 
@@ -380,12 +346,6 @@ def _parse_grid(text: str) -> Tuple[float, ...]:
         raise DomainError(f"cannot parse grid {text!r}") from None
 
 
-def _spec_for(system: str, eps: float) -> OscillatorSpec:
-    if system == RAYLEIGH:
-        return OscillatorSpec.rayleigh(eps)
-    return OscillatorSpec.van_der_pol(eps)
-
-
 def _curve_series(curve: geometry.PiecewiseCurve, label: str, *, per_piece: int = 120) -> Series:
     """Sample a piecewise curve (and its mirror) with NaN breaks between pieces."""
     xs: List[float] = []
@@ -433,7 +393,7 @@ def cmd_amplitude(args) -> int:
         config = IntegratorConfig() if args.rel_tol is None else IntegratorConfig(
             rel_tol=args.rel_tol
         )
-        cycle = limit_cycle(_spec_for(system, eps), config)
+        cycle = limit_cycle(OscillatorSpec(system, eps), config)
         record["amplitude"] = cycle.amplitude
         record["period"] = cycle.period
         record["cycles_used"] = cycle.cycles_used
@@ -528,7 +488,7 @@ def cmd_cycle(args) -> int:
     eps = float(args.eps)
     out_dir = _resolve_output_dir(args.output_dir)
     config = IntegratorConfig(n_samples=args.samples)
-    cycle = limit_cycle(_spec_for(system, eps), config)
+    cycle = limit_cycle(OscillatorSpec(system, eps), config)
 
     tag = f"{system}_eps{_eps_label(eps)}"
     csv_path = out_dir / f"cycle_{tag}.csv"
@@ -609,7 +569,8 @@ def cmd_fit(args) -> int:
     system = _canonical_system(args.system)
     eps = float(args.eps)
     out_dir = _resolve_output_dir(args.output_dir)
-    cycle = limit_cycle(_spec_for(system, eps), IntegratorConfig(n_samples=args.samples))
+    config = IntegratorConfig(n_samples=args.samples)
+    cycle = limit_cycle(OscillatorSpec(system, eps), config)
     fitted = geometry.fit_cycle(cycle, tol=args.tol, max_pieces=args.max_pieces)
     curve_path = out_dir / f"fit_{system}_eps{_eps_label(eps)}.curve"
     geometry.write_curve(fitted, curve_path)
@@ -621,17 +582,12 @@ def cmd_fit(args) -> int:
 def cmd_report(args) -> int:
     config = _load_config(args.config)
     out_dir = _resolve_output_dir(args.output_dir or config.output_dir)
-    jobs = args.jobs
     notes: List[str] = []
 
     # 1. anchor amplitudes
     anchors = []
-    for system, eps, cited, tol in (
-        (RAYLEIGH, 1.0, 2.17271, 0.002),
-        (RAYLEIGH, 7.0, 5.63108, 0.01),
-        (VAN_DER_POL, 1.0, 2.0086, 0.002),
-    ):
-        cycle = limit_cycle(_spec_for(system, eps), config.integrator)
+    for system, eps, cited, tol in ANCHORS:
+        cycle = limit_cycle(OscillatorSpec(system, eps), config.integrator)
         gap = abs(cycle.amplitude - cited)
         flag = "ok" if gap <= tol else "MISMATCH"
         anchors.append(
@@ -657,57 +613,42 @@ def cmd_report(args) -> int:
         json.dumps(anchors, indent=2) + "\n", encoding="utf-8"
     )
 
-    # 2. Rayleigh comparison: exact vs all three closed forms
-    ray_rows = build_comparison(
-        RAYLEIGH, config.eps_grid, ("exact", "ham", "rg", "irgm"),
-        config=config.integrator, jobs=jobs,
-        preset="rayleigh", control=config.ham_control,
-    )
-    write_comparison_csv(ray_rows, out_dir / "rayleigh_comparison.csv")
-    save_plot(
-        out_dir / "rayleigh_amplitude.svg",
-        _sweep_series(ray_rows, ("exact", "ham", "rg", "irgm")),
-        title="rayleigh: amplitude vs nonlinearity",
-        xlabel="eps", ylabel="amplitude",
-    )
-    ham_errs = [r.rel_err_ham for r in ray_rows if r.rel_err_ham is not None]
-    if ham_errs:
-        worst = max(ham_errs)
-        print(f"rayleigh tuned-2nd-order worst rel err: {worst:.4g}%")
-        if worst >= 1.0:
-            notes.append(
-                f"tuned second-order claim (<1%) not reproduced: worst {worst:.4g}%"
-            )
-
-    # 3. Van der Pol comparison: exact vs the two-branch fit
-    vdp_grid = tuple(
-        e for e in (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 20.0, 50.0)
-    )
-    vdp_rows = build_comparison(
-        VAN_DER_POL, vdp_grid, ("exact", "fit"),
-        config=config.integrator, jobs=jobs,
-    )
-    write_comparison_csv(vdp_rows, out_dir / "vdp_comparison.csv")
-    save_plot(
-        out_dir / "vdp_amplitude.svg",
-        _sweep_series(vdp_rows, ("exact", "fit")),
-        title="vanderpol: amplitude vs nonlinearity",
-        xlabel="eps", ylabel="amplitude",
-    )
-    fit_errs = [r.rel_err_irgm for r in vdp_rows if r.rel_err_irgm is not None]
-    if fit_errs:
-        worst = max(fit_errs)
-        print(f"vanderpol two-branch fit worst rel err: {worst:.4g}%")
-        if worst >= 0.05:
-            notes.append(
-                f"two-branch fit claim (<0.05%) not reproduced on the report grid: "
-                f"worst {worst:.4g}%"
-            )
+    # 2-3. exact amplitudes against the closed forms at their published
+    # bounds: the tuned expansion on Rayleigh, the two-branch fit on van der Pol
+    for prefix, system, grid, methods, column, bound, label, claim in (
+        (
+            "rayleigh", RAYLEIGH, config.eps_grid, ("exact", "ham", "rg", "irgm"),
+            "rel_err_ham", HAM_BOUND, "tuned-2nd-order",
+            "tuned second-order claim (<{:g}%) not reproduced",
+        ),
+        (
+            "vdp", VAN_DER_POL, (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 20.0, 50.0),
+            ("exact", "fit"), "rel_err_irgm", VDP_FIT_BOUND, "two-branch fit",
+            "two-branch fit claim (<{:g}%) not reproduced on the report grid",
+        ),
+    ):
+        rows = build_comparison(
+            system, grid, methods,
+            config=config.integrator, jobs=args.jobs, control=config.ham_control,
+        )
+        write_comparison_csv(rows, out_dir / f"{prefix}_comparison.csv")
+        save_plot(
+            out_dir / f"{prefix}_amplitude.svg",
+            _sweep_series(rows, methods),
+            title=f"{system}: amplitude vs nonlinearity",
+            xlabel="eps", ylabel="amplitude",
+        )
+        errs = [getattr(r, column) for r in rows if getattr(r, column) is not None]
+        if errs:
+            worst = max(errs)
+            print(f"{system} {label} worst rel err: {worst:.4g}%")
+            if worst >= bound:
+                notes.append(f"{claim.format(bound)}: worst {worst:.4g}%")
 
     # 4. phase portraits with fits and published tables
     for system in (RAYLEIGH, VAN_DER_POL):
         cycle = limit_cycle(
-            _spec_for(system, 5.0), replace(config.integrator, n_samples=2000)
+            OscillatorSpec(system, 5.0), replace(config.integrator, n_samples=2000)
         )
         fitted = geometry.fit_cycle(cycle, tol=0.1, max_pieces=20)
         table = _bundled_for(system, 5.0)
@@ -747,25 +688,24 @@ def cmd_report(args) -> int:
 
     jumps = breakpoint_jumps(config.ham_control)
     for eps_break, jump in sorted(jumps.items()):
-        if jump > 0.02:
+        if jump > SEAM_BOUND:
             notes.append(
                 f"control-law amplitude jump at eps={eps_break:g} is {jump:.4g} "
-                "(the stated secondary bound of 0.02 is exceeded)"
+                f"(the stated secondary bound of {SEAM_BOUND:g} is exceeded)"
             )
 
-    # 6. the published van der Pol amplitude maximum (~2.0235) is a hump value
+    # 6. the published van der Pol amplitude maximum is the hump's value
     fine = np.arange(0.5, 4.0 + 1e-9, 0.01)
     fit_amp = np.array([vdp_fit(e) for e in fine])
     peak = int(np.argmax(fit_amp))
     hump, hump_amp = float(fine[peak]), float(fit_amp[peak])
     print(f"two-branch fit maximum near eps = {hump:.2f}")
-    if not (1.9 <= hump <= 2.15):
-        notes.append(
-            f"amplitude maximum: the published 2.0235 is the hump value; the "
-            f"two-branch fit peaks at {hump_amp:.5f} near eps = {hump:.2f} "
-            f"(as does the exact sweep), so reading 2.0235 as the hump's eps "
-            f"contradicts the fit"
-        )
+    notes.append(
+        f"amplitude maximum: the published {VDP_PEAK:g} is the hump value; the "
+        f"two-branch fit peaks at {hump_amp:.5f} near eps = {hump:.2f} "
+        f"(as does the exact sweep), so reading {VDP_PEAK:g} as the hump's eps "
+        f"contradicts the fit"
+    )
 
     notes_path = out_dir / "discrepancy_notes.txt"
     header = [

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from .claims import RAYLEIGH_A7
 from .errors import DomainError
 from .trigpoly import Poly2, TrigSeries, solve_deformation
 
@@ -58,6 +59,11 @@ __all__ = [
 _H = Poly2.term(1, 1, 0)  # the step parameter as a polynomial
 _E = Poly2.term(1, 0, 1)  # the nonlinearity parameter as a polynomial
 _MAX_ORDER = 2
+
+#: Coefficient of ``h*eps^2`` in the two-term amplitude ``2 + (1/8) h eps^2``,
+#: i.e. ``expansion(1)[1].amp``; a test ties the two together.  Stated as a
+#: constant so the closed form never waits on the symbolic solve.
+_AMP_COEFFICIENT = 0.125
 
 
 @dataclass(frozen=True)
@@ -254,8 +260,9 @@ class LinearTail:
     """Straight-line amplitude continuation ``slope*(eps - eps_switch) + intercept``."""
 
     slope: float = 0.657692
-    intercept: float = 5.63108
-    eps_switch: float = 7.0
+    # the line starts on the published Rayleigh anchor a(7)
+    intercept: float = RAYLEIGH_A7[2]
+    eps_switch: float = RAYLEIGH_A7[1]
 
     def __post_init__(self):
         if self.slope <= 0 or self.intercept <= 0 or self.eps_switch <= 0:
@@ -315,22 +322,25 @@ def step_coefficient(eps: float, control: HamControl = DEFAULT_CONTROL) -> float
     raise AssertionError("unreachable: range checked above")
 
 
+def _table_h(eps: float, b: float) -> float:
+    return 1.0 / (0.5 + eps * b)
+
+
+def _two_term(h: float, eps: float) -> float:
+    return 2.0 + h * eps * eps * _AMP_COEFFICIENT
+
+
 def control_h(eps: float, control: HamControl = DEFAULT_CONTROL) -> float:
     """Convergence-step value at ``eps``.
 
     Table region: ``h = 1/(1/2 + eps*b(eps))``.  Tail region: the unique
     ``h`` whose two-term amplitude ``2 + h*eps^2/8`` equals the linear tail,
-
-        h = 8*m/eps - 56*m/eps^2 + 8*c/eps^2 - 16/eps^2
-
-    with ``m``/``c`` the tail slope/intercept (exact algebraic inverse).
+    ``h = (tail(eps) - 2) / (eps^2/8)`` (exact algebraic inverse).
     """
     _check_range(eps, control)
     if control.uses_tail(eps):
-        m, c = control.tail.slope, control.tail.intercept
-        s = control.tail.eps_switch
-        return (8.0 * m * (eps - s) + 8.0 * c - 16.0) / (eps * eps)
-    return 1.0 / (0.5 + eps * step_coefficient(eps, control))
+        return (control.tail.amplitude(eps) - 2.0) / (_AMP_COEFFICIENT * eps * eps)
+    return _table_h(eps, step_coefficient(eps, control))
 
 
 def amplitude_ham(eps: float, control: HamControl = DEFAULT_CONTROL) -> float:
@@ -338,7 +348,7 @@ def amplitude_ham(eps: float, control: HamControl = DEFAULT_CONTROL) -> float:
     _check_range(eps, control)
     if control.uses_tail(eps):
         return control.tail.amplitude(eps)
-    return 2.0 + control_h(eps, control) * eps * eps / 8.0
+    return _two_term(control_h(eps, control), eps)
 
 
 def breakpoint_jumps(control: HamControl = DEFAULT_CONTROL) -> Dict[float, float]:
@@ -353,12 +363,10 @@ def breakpoint_jumps(control: HamControl = DEFAULT_CONTROL) -> Dict[float, float
     for (upper, b_left), (_, b_right) in zip(rows, rows[1:]):
         if switch is not None and upper >= switch:
             break
-        left = 2.0 + upper * upper / 8.0 / (0.5 + upper * b_left)
-        right = 2.0 + upper * upper / 8.0 / (0.5 + upper * b_right)
+        left = _two_term(_table_h(upper, b_left), upper)
+        right = _two_term(_table_h(upper, b_right), upper)
         jumps[upper] = abs(left - right)
     if switch is not None:
-        left = 2.0 + switch * switch / 8.0 / (
-            0.5 + switch * step_coefficient(switch, control)
-        )
+        left = _two_term(control_h(switch, control), switch)
         jumps[switch] = abs(left - control.tail.amplitude(switch))
     return jumps

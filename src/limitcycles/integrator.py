@@ -168,18 +168,14 @@ def integrate(
     return Trajectory(sol.t, sol.y[0], sol.y[1])
 
 
-def _section_events():
-    """Poincare-section event pair: upward and downward crossings of z = 0."""
+def _section_event(direction: float):
+    """Poincare-section event: crossings of z = 0 in ``direction``."""
 
-    def up(t, state):
+    def crossing(t, state):
         return state[1]
 
-    def down(t, state):
-        return state[1]
-
-    up.direction = 1.0
-    down.direction = -1.0
-    return up, down
+    crossing.direction = direction
+    return crossing
 
 
 def limit_cycle(
@@ -198,7 +194,7 @@ def limit_cycle(
     """
     cfg = config or IntegratorConfig()
     fun = spec.field_function()
-    up, down = _section_events()
+    up, down = _section_event(1.0), _section_event(-1.0)
 
     # pull the seed toward the cycle before watching the section
     state = np.asarray(cfg.seed, dtype=float)

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List
 
+from .claims import RAYLEIGH_A1, RAYLEIGH_CONSTANT, VDP_A1, VDP_CONSTANT
 from .errors import DomainError
 from .oscillators import RAYLEIGH, VAN_DER_POL
 
@@ -166,14 +167,14 @@ class IrgmCalibration:
 
 
 def _presets() -> Dict[str, IrgmCalibration]:
-    rayleigh_anchor = 2.17271
-    vdp_anchor = 2.0086
+    _, _, rayleigh_anchor, _ = RAYLEIGH_A1
+    _, _, vdp_anchor, _ = VDP_A1
     return {
         # published constant; agrees with its boundary condition to ~4e-6
-        "rayleigh": IrgmCalibration(RAYLEIGH, 0.87953, 1.0, rayleigh_anchor),
+        "rayleigh": IrgmCalibration(RAYLEIGH, RAYLEIGH_CONSTANT, 1.0, rayleigh_anchor),
         # published Van der Pol constant, kept verbatim for reproduction runs;
         # it does NOT follow from its own boundary condition (gap ~0.325)
-        "vdp-paper": IrgmCalibration(VAN_DER_POL, 4.08785, 1.0, vdp_anchor),
+        "vdp-paper": IrgmCalibration(VAN_DER_POL, VDP_CONSTANT, 1.0, vdp_anchor),
         # same boundary condition, constant actually recomputed from it
         "vdp-consistent": IrgmCalibration(
             VAN_DER_POL, calibrate_constant(vdp_anchor), 1.0, vdp_anchor

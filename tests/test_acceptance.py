@@ -22,6 +22,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from limitcycles.claims import (
+    ANCHORS,
+    HAM_BOUND,
+    RAYLEIGH_A1,
+    RAYLEIGH_CONSTANT,
+    VDP_FIT_BOUND,
+    VDP_PEAK,
+    VDP_PEAK_TOL,
+)
 from limitcycles.geometry import (
     continuity_report,
     curve_distance,
@@ -56,20 +65,10 @@ def _sweep_rows(kind, grid, jobs=JOBS):
 
 
 def test_criterion_01_exact_amplitude_anchors():
-    anchors = (
-        ("rayleigh", 1.0, 2.17271, 0.002),
-        ("rayleigh", 7.0, 5.63108, 0.01),
-        ("vanderpol", 1.0, 2.0086, 0.002),
-    )
     results = []
-    for kind, eps, cited, tol in anchors:
-        spec = (
-            OscillatorSpec.rayleigh(eps)
-            if kind == "rayleigh"
-            else OscillatorSpec.van_der_pol(eps)
-        )
+    for kind, eps, cited, tol in ANCHORS:
         start = time.perf_counter()
-        cycle = limit_cycle(spec, IntegratorConfig())
+        cycle = limit_cycle(OscillatorSpec(kind, eps), IntegratorConfig())
         elapsed = time.perf_counter() - start
         results.append((kind, eps, cycle.amplitude, cited, tol, elapsed))
     print(
@@ -94,11 +93,11 @@ def test_criterion_02_vdp_amplitude_maximum_location():
         f"criterion 2: exact sweep peaks at eps={peak_eps:g} (amplitude "
         f"{peak_amp:.6f}) in {elapsed:.1f}s; the two-branch fit peaks at "
         f"eps={fit_peak_eps:g} on the same grid. The peak VALUE matches the "
-        f"published 2.0235; the peak LOCATION is far from 2."
+        f"published {VDP_PEAK:g}; the peak LOCATION is far from 2."
     )
     assert elapsed < 120.0
     # one unit in the last published digit
-    assert peak_amp == pytest.approx(2.0235, abs=1e-4)
+    assert peak_amp == pytest.approx(VDP_PEAK, abs=VDP_PEAK_TOL)
     assert 0 < idx < len(curve.eps) - 1, (
         f"argmax at the grid end eps={peak_eps:g}: no interior hump"
     )
@@ -122,10 +121,10 @@ def test_criterion_03_tuned_expansion_under_one_percent():
     at = float(curve.eps[int(rel.argmax())])
     print(
         f"criterion 3: worst tuned-expansion error {worst:.4f}% at eps={at:g} "
-        f"over 51 points in {elapsed:.1f}s (claim: < 1%)"
+        f"over 51 points in {elapsed:.1f}s (claim: < {HAM_BOUND:g}%)"
     )
     assert elapsed < 300.0
-    assert worst < 1.0
+    assert worst < HAM_BOUND
 
 
 def test_criterion_04_vdp_fit_under_five_hundredths_percent():
@@ -143,9 +142,9 @@ def test_criterion_04_vdp_fit_under_five_hundredths_percent():
     at = float(curve.eps[int(rel.argmax())])
     print(
         f"criterion 4: worst two-branch-fit error {worst:.5f}% at "
-        f"eps={at:g} in {elapsed:.1f}s (claim: < 0.05%)"
+        f"eps={at:g} in {elapsed:.1f}s (claim: < {VDP_FIT_BOUND:g}%)"
     )
-    assert worst < 0.05
+    assert worst < VDP_FIT_BOUND
 
 
 def test_criterion_05_flow_balance_fails_at_moderate_eps():
@@ -188,17 +187,19 @@ def test_criterion_06_symbolic_chain_exact():
 
 
 def test_criterion_07_calibration_constants():
-    constant = calibrate_constant(2.17271, 1.0)
+    _, eps_ref, a_ref, _ = RAYLEIGH_A1
+    constant = calibrate_constant(a_ref, eps_ref)
     report = consistency_report()
     vdp_paper = get_preset("vdp-paper")
     print(
         f"criterion 7: recomputed constant {constant:.6f} "
-        f"(published 0.87953, gap {abs(constant - 0.87953):.2e}); "
+        f"(published {RAYLEIGH_CONSTANT}, "
+        f"gap {abs(constant - RAYLEIGH_CONSTANT):.2e}); "
         f"vdp-paper gap {vdp_paper.consistency_gap():.5f} flagged "
         f"inconsistent={not vdp_paper.is_consistent()}"
     )
     assert constant == pytest.approx(0.8796, abs=0.0005)
-    assert abs(constant - 0.87953) <= 2e-4
+    assert abs(constant - RAYLEIGH_CONSTANT) <= 2e-4
     assert not vdp_paper.is_consistent()
     assert sum("INCONSISTENT" in line for line in report) == 1
     assert any("vdp-paper" in line and "INCONSISTENT" in line for line in report)

@@ -1,4 +1,9 @@
-"""End-to-end tests of the command-line interface (subprocess level)."""
+"""End-to-end tests of the command-line interface.
+
+Most tests call :func:`limitcycles.cli.main` in-process from a temporary
+working directory; two run ``python -m limitcycles`` as a child process to
+check the exit code and stderr of the real entry point.
+"""
 
 import json
 import os
@@ -11,7 +16,13 @@ from pathlib import Path
 import pytest
 
 import limitcycles
-from limitcycles.cli import ComparisonRow, RunConfig, build_comparison
+from limitcycles.cli import (
+    OUTPUT_DIR_ENV,
+    ComparisonRow,
+    RunConfig,
+    build_comparison,
+    main,
+)
 from limitcycles.errors import DomainError
 from limitcycles.geometry import read_curve
 from limitcycles.ham import TABLE_ONLY_CONTROL
@@ -25,8 +36,8 @@ from limitcycles.integrator import IntegratorConfig
 PACKAGE_ROOT = str(Path(limitcycles.__file__).resolve().parents[1])
 
 
-def run_cli(*args, cwd, env=None):
-    env = dict(os.environ if env is None else env)
+def run_cli(*args, cwd):
+    env = dict(os.environ)
     paths = (PACKAGE_ROOT, env.get("PYTHONPATH", ""))
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     return subprocess.run(
@@ -39,6 +50,21 @@ def run_cli(*args, cwd, env=None):
     )
 
 
+@pytest.fixture
+def cli(tmp_path, monkeypatch, capsys):
+    """``cli(*args)`` runs ``main(args)`` with ``tmp_path`` as the working
+    directory and returns its exit code and captured output."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+
+    def run(*args):
+        code = main(list(args))
+        out = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out.out, out.err)
+
+    return run
+
+
 def printed_amplitude(stdout: str) -> float:
     match = re.search(r"amplitude = ([-+0-9.eE]+)", stdout)
     assert match, f"no amplitude line in {stdout!r}"
@@ -46,10 +72,9 @@ def printed_amplitude(stdout: str) -> float:
 
 
 class TestAmplitudeCommand:
-    def test_exact_rayleigh_anchor(self, tmp_path):
-        result = run_cli(
+    def test_exact_rayleigh_anchor(self, cli, tmp_path):
+        result = cli(
             "amplitude", "--system", "rayleigh", "--eps", "1", "--method", "exact",
-            cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         assert printed_amplitude(result.stdout) == pytest.approx(2.17271, abs=0.002)
@@ -61,19 +86,17 @@ class TestAmplitudeCommand:
         assert record["amplitude"] == pytest.approx(2.17271, abs=0.002)
         assert record["period"] == pytest.approx(6.663, abs=0.01)
 
-    def test_calibrated_closed_form_matches_anchor(self, tmp_path):
-        result = run_cli(
+    def test_calibrated_closed_form_matches_anchor(self, cli):
+        result = cli(
             "amplitude", "--system", "rayleigh", "--eps", "1",
             "--method", "irgm", "--preset", "rayleigh",
-            cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         assert printed_amplitude(result.stdout) == pytest.approx(2.1727, abs=1e-3)
 
-    def test_vdp_alias_and_fit_method(self, tmp_path):
-        result = run_cli(
+    def test_vdp_alias_and_fit_method(self, cli):
+        result = cli(
             "amplitude", "--system", "vdp", "--eps", "50", "--method", "fit",
-            cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         assert printed_amplitude(result.stdout) == pytest.approx(2.0025, abs=0.01)
@@ -86,21 +109,19 @@ class TestAmplitudeCommand:
         assert result.returncode == 1
         assert "vanderpol" in result.stderr
 
-    def test_unknown_system_exits_one(self, tmp_path):
-        result = run_cli(
+    def test_unknown_system_exits_one(self, cli):
+        result = cli(
             "amplitude", "--system", "duffing", "--eps", "1", "--method", "exact",
-            cwd=tmp_path,
         )
         assert result.returncode == 1
         assert "unknown system" in result.stderr
 
 
 class TestSweepCommand:
-    def test_csv_and_svg_artifacts(self, tmp_path):
-        result = run_cli(
+    def test_csv_and_svg_artifacts(self, cli, tmp_path):
+        result = cli(
             "sweep", "--system", "rayleigh", "--grid", "0.5,1,2",
             "--methods", "exact,ham,rg", "--jobs", "3",
-            cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         csv_path = tmp_path / "sweep_rayleigh.csv"
@@ -119,31 +140,28 @@ class TestSweepCommand:
         assert "series exact" in svg and "x: " in svg  # embedded numeric data
         assert "href" not in svg  # self-contained
 
-    def test_deterministic_output(self, tmp_path):
+    def test_deterministic_output(self, cli, tmp_path):
         for sub in ("a", "b"):
             (tmp_path / sub).mkdir()
-            result = run_cli(
+            result = cli(
                 "sweep", "--system", "vdp", "--grid", "1,2",
                 "--methods", "exact,fit", "--output-dir", sub,
-                cwd=tmp_path,
             )
             assert result.returncode == 0, result.stderr
         assert (tmp_path / "a/sweep_vanderpol.csv").read_bytes() == (
             tmp_path / "b/sweep_vanderpol.csv"
         ).read_bytes()
 
-    def test_irgm_and_fit_conflict(self, tmp_path):
-        result = run_cli(
+    def test_irgm_and_fit_conflict(self, cli):
+        result = cli(
             "sweep", "--system", "vdp", "--grid", "1", "--methods", "irgm,fit",
-            cwd=tmp_path,
         )
         assert result.returncode == 1
         assert "share the closed-form column" in result.stderr
 
-    def test_range_grid_parsing(self, tmp_path):
-        result = run_cli(
+    def test_range_grid_parsing(self, cli, tmp_path):
+        result = cli(
             "sweep", "--system", "vdp", "--grid", "1:2:0.5", "--methods", "fit",
-            cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         lines = (tmp_path / "sweep_vanderpol.csv").read_text().splitlines()
@@ -152,10 +170,9 @@ class TestSweepCommand:
 
 
 class TestCycleCommand:
-    def test_appendix_table_audit(self, tmp_path):
-        result = run_cli(
+    def test_appendix_table_audit(self, cli, tmp_path):
+        result = cli(
             "cycle", "--system", "vdp", "--eps", "5", "--appendix-c",
-            cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         assert "piece 8 is non-real" in result.stdout
@@ -165,18 +182,16 @@ class TestCycleCommand:
         ET.fromstring(svg)
         assert "published table" in svg
 
-    def test_bundled_tables_only_at_eps_five(self, tmp_path):
-        result = run_cli(
+    def test_bundled_tables_only_at_eps_five(self, cli):
+        result = cli(
             "cycle", "--system", "vdp", "--eps", "2", "--appendix-c",
-            cwd=tmp_path,
         )
         assert result.returncode == 1
         assert "eps = 5" in result.stderr
 
-    def test_fit_overlay_writes_curve(self, tmp_path):
-        result = run_cli(
+    def test_fit_overlay_writes_curve(self, cli, tmp_path):
+        result = cli(
             "cycle", "--system", "rayleigh", "--eps", "5", "--fit", "0.1",
-            cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         curve = read_curve(tmp_path / "fit_rayleigh_eps5.curve")
@@ -185,10 +200,9 @@ class TestCycleCommand:
 
 
 class TestFitCommand:
-    def test_writes_loadable_curve(self, tmp_path):
-        result = run_cli(
+    def test_writes_loadable_curve(self, cli, tmp_path):
+        result = cli(
             "fit", "--system", "vdp", "--eps", "5", "--tol", "0.1",
-            cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         curve = read_curve(tmp_path / "fit_vanderpol_eps5.curve")
@@ -206,22 +220,20 @@ class TestFitCommand:
 
 
 class TestOutputDirResolution:
-    def test_env_var_override(self, tmp_path, monkeypatch):
+    def test_env_var_override(self, cli, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
-        env = dict(os.environ, LIMITCYCLES_OUTPUT_DIR=str(target))
-        result = run_cli(
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
+        result = cli(
             "amplitude", "--system", "vdp", "--eps", "1", "--method", "fit",
-            cwd=tmp_path, env=env,
         )
         assert result.returncode == 0, result.stderr
         assert (target / "amplitude_vanderpol_fit_eps1.json").exists()
 
-    def test_flag_beats_env(self, tmp_path):
-        env = dict(os.environ, LIMITCYCLES_OUTPUT_DIR=str(tmp_path / "ignored"))
-        result = run_cli(
+    def test_flag_beats_env(self, cli, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "ignored"))
+        result = cli(
             "amplitude", "--system", "vdp", "--eps", "1", "--method", "fit",
             "--output-dir", "flagged",
-            cwd=tmp_path, env=env,
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "flagged/amplitude_vanderpol_fit_eps1.json").exists()
@@ -229,12 +241,11 @@ class TestOutputDirResolution:
 
 
 class TestReportCommand:
-    def test_bundle_contents(self, tmp_path):
+    def test_bundle_contents(self, cli, tmp_path):
         config = RunConfig(eps_grid=(1.0, 5.0), output_dir=str(tmp_path / "bundle"))
         (tmp_path / "run.json").write_text(config.to_json())
-        result = run_cli(
+        result = cli(
             "report", "--config", "run.json", "--jobs", "4",
-            cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         bundle = tmp_path / "bundle"
@@ -278,6 +289,12 @@ class TestRunConfig:
 
     def test_defaults_round_trip(self):
         assert RunConfig.from_json(RunConfig().to_json()) == RunConfig()
+
+    def test_missing_keys_keep_defaults(self):
+        config = RunConfig.from_dict({"integrator": {"rel_tol": 1e-8}, "ham_control": {}})
+        assert config == RunConfig(integrator=IntegratorConfig(rel_tol=1e-8))
+        with pytest.raises(TypeError):
+            RunConfig.from_dict({"integrator": {"tolerance": 1e-8}})
 
     def test_zero_config_is_valid(self):
         config = RunConfig()

@@ -11,6 +11,7 @@ from limitcycles.errors import DomainError
 from limitcycles.ham import (
     DEFAULT_CONTROL,
     TABLE_ONLY_CONTROL,
+    _AMP_COEFFICIENT,
     HamControl,
     HamOrder,
     LinearTail,
@@ -111,6 +112,12 @@ def test_build_rk_validation():
 # ---------------------------------------------------------------------------
 # step control
 # ---------------------------------------------------------------------------
+
+
+def test_closed_form_coefficient_is_the_symbolic_one():
+    # amplitude_ham, control_h and breakpoint_jumps evaluate 2 + c*h*eps^2
+    # with a stated c; it must be the coefficient the secular solve derives
+    assert Fraction(_AMP_COEFFICIENT) == expansion(1)[1].amp.coefficient(1, 2)
 
 
 def test_control_h_table_examples():
