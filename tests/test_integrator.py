@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import limitcycles.integrator as integrator
 from limitcycles.errors import ConvergenceError, DomainError
 from limitcycles.integrator import (
     AmplitudeCurve,
@@ -110,6 +111,27 @@ def test_sweep_records_failures_without_aborting():
     assert "settled" in curve.errors[0]
 
 
+def test_sweep_keeps_any_point_failure_in_its_slot(monkeypatch):
+    # a failure outside ConvergenceError/DomainError (here an overflow trap)
+    # must land in the error column, not abort the other grid points
+    real = integrator.limit_cycle
+
+    def flaky(spec, config=None, **kw):
+        if spec.epsilon == 1.0:
+            raise FloatingPointError("overflow encountered in multiply")
+        return real(spec, config, **kw)
+
+    monkeypatch.setattr(integrator, "limit_cycle", flaky)
+    curve = amplitude_sweep("rayleigh", [0.5, 1.0, 1.5])
+    assert np.isfinite(curve.amplitude[[0, 2]]).all()
+    assert math.isnan(curve.amplitude[1])
+    assert curve.errors == (
+        "",
+        "FloatingPointError: overflow encountered in multiply",
+        "",
+    )
+
+
 def test_sweep_serial_and_parallel_agree(tmp_path):
     eps = [0.5, 1.0]
     serial = amplitude_sweep("rayleigh", eps)
@@ -138,3 +160,30 @@ def test_cycle_csv_format(tmp_path):
     value = r"-?\d\.\d{11}e[+-]\d{2,3}"
     row = re.compile(rf"^{value},{value},{value}$")
     assert all(row.match(line) for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "eps, expected",
+    [(0.1, 50.0), (2.5, 50.0), (25.0, 50.0), (30.0, 60.0), (50.0, 100.0)],
+)
+def test_default_transient_is_max_of_fifty_and_two_eps(eps, expected):
+    assert IntegratorConfig().transient_for(eps) == expected
+
+
+@pytest.mark.parametrize("t_trans", [0.0, 7.5, 1000.0])
+def test_explicit_transient_wins(t_trans):
+    cfg = IntegratorConfig(transient_time=t_trans)
+    for eps in (0.1, 2.5, 30.0):
+        assert cfg.transient_for(eps) == t_trans
+
+
+@pytest.mark.parametrize("kind", ["rayleigh", "vanderpol"])
+@pytest.mark.parametrize("eps", [5.0, 30.0])
+def test_short_transient_matches_long_pull_in(kind, eps):
+    # about one relaxation period of pull-in lands on the same cycle as
+    # twelve periods do
+    spec = OscillatorSpec(kind, eps)
+    short = limit_cycle(spec)
+    long = limit_cycle(spec, IntegratorConfig(transient_time=20.0 * eps))
+    assert short.converged and long.converged
+    assert short.amplitude == pytest.approx(long.amplitude, abs=1e-8)
