@@ -24,6 +24,7 @@ All CSV numbers use 12 significant digits so artifacts diff cleanly.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -173,22 +174,22 @@ class ComparisonRow:
 
     CSV_HEADER = "eps,a_exact,a_ham,a_rg,a_irgm,rel_err_ham,rel_err_irgm,error"
 
-    def csv_row(self) -> str:
+    def csv_row(self) -> List[str]:
+        """The row's cells, for :func:`csv.writer`."""
+
         def cell(v: Optional[float]) -> str:
             return "" if v is None or not math.isfinite(v) else f"{v:.11e}"
 
-        return ",".join(
-            [
-                f"{self.eps:.11e}",
-                cell(self.a_exact),
-                cell(self.a_ham),
-                cell(self.a_rg),
-                cell(self.a_irgm),
-                cell(self.rel_err_ham),
-                cell(self.rel_err_irgm),
-                self.error,
-            ]
-        )
+        return [
+            f"{self.eps:.11e}",
+            cell(self.a_exact),
+            cell(self.a_ham),
+            cell(self.a_rg),
+            cell(self.a_irgm),
+            cell(self.rel_err_ham),
+            cell(self.rel_err_irgm),
+            self.error,
+        ]
 
 
 def _relative_percent(approx: Optional[float], exact: Optional[float]) -> Optional[float]:
@@ -307,10 +308,12 @@ def build_comparison(
 
 
 def write_comparison_csv(rows: Sequence[ComparisonRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the comparison table; an error cell with a comma is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(ComparisonRow.CSV_HEADER + "\n")
+        out = csv.writer(fh, lineterminator="\n")
         for row in rows:
-            fh.write(row.csv_row() + "\n")
+            out.writerow(row.csv_row())
 
 
 # ---------------------------------------------------------------------------

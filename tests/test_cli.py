@@ -5,6 +5,7 @@ working directory; two run ``python -m limitcycles`` as a child process to
 check the exit code and stderr of the real entry point.
 """
 
+import csv
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from limitcycles.cli import (
     RunConfig,
     build_comparison,
     main,
+    write_comparison_csv,
 )
 from limitcycles.errors import DomainError
 from limitcycles.geometry import read_curve
@@ -334,3 +336,21 @@ class TestBuildComparison:
         assert rows[0].a_ham is None
         assert rows[0].a_irgm is not None
         assert "ham" in rows[0].error
+
+    def test_csv_quotes_an_error_with_a_comma(self, tmp_path):
+        message = "ConvergenceError: not settled (last delta 1e-07, tol 1e-16)"
+        rows = [
+            ComparisonRow(eps=1.0, a_ham=2.5),
+            ComparisonRow(eps=2.0, error=message),
+        ]
+        path = tmp_path / "table.csv"
+        write_comparison_csv(rows, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == [
+            ComparisonRow.CSV_HEADER,
+            "1.00000000000e+00,,2.50000000000e+00,,,,,",
+        ]
+        with open(path, newline="", encoding="utf-8") as fh:
+            parsed = list(csv.reader(fh))
+        assert [len(row) for row in parsed] == [8, 8, 8]
+        assert parsed[2][-1] == message

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import limitcycles.integrator as integrator
 from limitcycles.errors import ConvergenceError, DomainError
@@ -104,6 +106,22 @@ def test_non_convergence_paths():
     assert rec.cycles_used >= 2
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_max_cycles_holds_inside_one_watch_chunk(strict):
+    # at eps = 1 one 25-unit watch chunk holds about four maxima; only the
+    # first max_cycles of them may count
+    cfg = IntegratorConfig(transient_time=0.0, max_cycles=2, cycle_tol=1e-16)
+    spec = OscillatorSpec.rayleigh(1.0)
+    if strict:
+        with pytest.raises(ConvergenceError, match="after 2 cycles"):
+            limit_cycle(spec, cfg)
+    else:
+        rec = limit_cycle(spec, cfg, strict=False)
+        assert not rec.converged
+        assert rec.cycles_used == 2
+        assert len(rec.history) == 2
+
+
 def test_sweep_records_failures_without_aborting():
     cfg = IntegratorConfig(transient_time=0.0, max_cycles=2, cycle_tol=1e-16)
     curve = amplitude_sweep("rayleigh", [1.0], cfg)
@@ -148,6 +166,31 @@ def test_sweep_serial_and_parallel_agree(tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_csv_quotes_an_error_with_a_comma(tmp_path):
+    cfg = IntegratorConfig(transient_time=0.0, max_cycles=2, cycle_tol=1e-16)
+    curve = amplitude_sweep("rayleigh", [1.0, 2.0], cfg)
+    assert all("," in msg for msg in curve.errors)
+    path = tmp_path / "sweep.csv"
+    curve.write_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [3, 3, 3]
+    assert tuple(row[2] for row in rows[1:]) == curve.errors
+
+
+def test_sweep_csv_rows_without_error_are_plain(tmp_path):
+    curve = AmplitudeCurve(
+        "rayleigh", np.array([1.0, 2.0]), np.array([2.5, math.nan]), ("", "x")
+    )
+    path = tmp_path / "sweep.csv"
+    curve.write_csv(path)
+    assert path.read_bytes() == (
+        b"eps,amplitude,error\n"
+        b"1.00000000000e+00,2.50000000000e+00,\n"
+        b"2.00000000000e+00,,x\n"
+    )
+
+
 def test_cycle_csv_format(tmp_path):
     cfg = IntegratorConfig(n_samples=64, transient_time=0.0)
     rec = limit_cycle(harmonic_spec(), cfg)
@@ -187,3 +230,92 @@ def test_short_transient_matches_long_pull_in(kind, eps):
     long = limit_cycle(spec, IntegratorConfig(transient_time=20.0 * eps))
     assert short.converged and long.converged
     assert short.amplitude == pytest.approx(long.amplitude, abs=1e-8)
+
+
+# -- the float stepper against scipy's own RK45 ------------------------------
+
+
+def _scipy_rk45(fun, t_span, state, cfg, **kw):
+    return solve_ivp(
+        fun, t_span, state, method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol, **kw
+    )
+
+
+@pytest.mark.parametrize("kind", ["rayleigh", "vanderpol"])
+@pytest.mark.parametrize("eps", [0.5, 5.0, 50.0])
+def test_planar_stepper_matches_scipy_rk45(kind, eps):
+    # the three calls limit_cycle makes: transient, watch (events) and
+    # resample (t_eval); same steps, same evaluations, same numbers
+    cfg = IntegratorConfig()
+    fun = OscillatorSpec(kind, eps).field_function()
+    span = (0.0, cfg.transient_for(eps))
+    ours = integrator._solve(fun, span, np.array(cfg.seed), cfg)
+    ref = _scipy_rk45(fun, span, np.array(cfg.seed), cfg)
+    assert ours.nfev == ref.nfev
+    assert ours.t.size == ref.t.size
+    np.testing.assert_allclose(ours.y[:, -1], ref.y[:, -1], rtol=0, atol=1e-9)
+
+    state = ref.y[:, -1]
+    events = [integrator._section_event(1.0), integrator._section_event(-1.0)]
+    ours = integrator._solve(fun, (0.0, 25.0), state, cfg, events=events)
+    ref = _scipy_rk45(fun, (0.0, 25.0), state, cfg, events=events)
+    assert ours.nfev == ref.nfev
+    assert ours.t.size == ref.t.size
+    assert sum(len(t) for t in ref.t_events) > 0
+    for t_ours, t_ref in zip(ours.t_events, ref.t_events):
+        np.testing.assert_allclose(t_ours, t_ref, rtol=0, atol=1e-11)
+
+    t_eval = np.linspace(0.0, 10.0, 200)
+    ours = integrator._solve(fun, (0.0, 10.0), state, cfg, t_eval=t_eval)
+    ref = _scipy_rk45(fun, (0.0, 10.0), state, cfg, t_eval=t_eval)
+    assert ours.nfev == ref.nfev
+    np.testing.assert_array_equal(ours.t, t_eval)
+    np.testing.assert_allclose(ours.y, ref.y, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("t_final", [2.0, -2.0])
+def test_planar_stepper_fails_like_scipy_at_a_blow_up(t_final):
+    # y' = y^2 from y(0) = +-1 blows up at t = +-1, forward or backward: the
+    # step shrinks to the 10-ulp floor and both solvers stop at that point
+    def fun(t, state):
+        return [state[0] * state[0], -state[1]]
+
+    seed = [math.copysign(1.0, t_final), 1.0]
+    kw = dict(rtol=1e-9, atol=1e-11)
+    ours = solve_ivp(fun, (0.0, t_final), seed, method=integrator._PlanarRK45, **kw)
+    ref = solve_ivp(fun, (0.0, t_final), seed, method="RK45", **kw)
+    assert not ours.success and ours.message == ref.message
+    assert ours.nfev == ref.nfev and ours.t.size == ref.t.size
+    assert ours.t[-1] == pytest.approx(ref.t[-1], abs=1e-12)
+
+
+def _record_methods(monkeypatch) -> list:
+    seen = []
+    real = integrator.solve_ivp
+
+    def spy(*args, **kw):
+        seen.append(kw["method"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(integrator, "solve_ivp", spy)
+    return seen
+
+
+def test_lienard_spec_steps_in_the_planar_class(monkeypatch):
+    seen = _record_methods(monkeypatch)
+    vdp_as_callables = OscillatorSpec.lienard(
+        1.0, lambda y, z: z * (y * y - 1.0), lambda y: y
+    )
+    rec = limit_cycle(vdp_as_callables)
+    assert seen and all(m is integrator._PlanarRK45 for m in seen)
+    named = limit_cycle(OscillatorSpec.van_der_pol(1.0)).amplitude
+    assert rec.amplitude == pytest.approx(named, abs=1e-12)
+
+
+def test_other_methods_reach_scipy_unchanged(monkeypatch):
+    seen = _record_methods(monkeypatch)
+    rec = limit_cycle(OscillatorSpec.rayleigh(1.0), IntegratorConfig(method="DOP853"))
+    assert seen and set(seen) == {"DOP853"}
+    assert rec.converged
+    default = limit_cycle(OscillatorSpec.rayleigh(1.0)).amplitude
+    assert rec.amplitude == pytest.approx(default, abs=1e-8)
