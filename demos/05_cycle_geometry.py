@@ -59,7 +59,7 @@ for kind, bundle in (("rayleigh", "rayleigh_eps5"), ("vanderpol", "vdp_eps5")):
     )
     cycle = limit_cycle(spec, config)
     table = load_bundled(bundle)
-    fitted = fit_cycle(cycle, tol=0.1, max_pieces=20)
+    fitted = fit_cycle(cycle, tol=0.1)
 
     table_score = curve_distance(table, cycle)
     fit_score = curve_distance(fitted, cycle)

@@ -64,7 +64,6 @@ from .irgm import (
     consistency_report,
     get_preset,
     invert_h,
-    phase_rate,
     vdp_fit,
 )
 from .oscillators import (
@@ -135,7 +134,6 @@ __all__ = [
     "consistency_report",
     "get_preset",
     "invert_h",
-    "phase_rate",
     "vdp_fit",
     # phase-plane geometry
     "Arc",

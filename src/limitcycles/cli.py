@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import geometry
-from .claims import ANCHORS, HAM_BOUND, SEAM_BOUND, VDP_FIT_BOUND, VDP_PEAK
+from .claims import ANCHORS, HAM_BOUND, SEAM_BOUND, VDP_FIT_BOUND, VDP_FIT_GRID, VDP_PEAK
 from .errors import ConvergenceError, DomainError
 from .ham import (
     DEFAULT_CONTROL,
@@ -349,28 +349,24 @@ def _parse_grid(text: str) -> Tuple[float, ...]:
         raise DomainError(f"cannot parse grid {text!r}") from None
 
 
-def _curve_series(curve: geometry.PiecewiseCurve, label: str, *, per_piece: int = 120) -> Series:
+_PLOT_SAMPLES = 120  # points per piece in a plotted curve
+
+
+def _curve_series(curve: geometry.PiecewiseCurve, label: str) -> Series:
     """Sample a piecewise curve (and its mirror) with NaN breaks between pieces."""
     xs: List[float] = []
     ys: List[float] = []
-
-    def add(piece_points):
-        if xs:
-            xs.append(math.nan)
-            ys.append(math.nan)
-        xs.extend(p[0] for p in piece_points)
-        ys.extend(p[1] for p in piece_points)
-
-    halves = [1.0]
-    if curve.symmetric:
-        halves.append(-1.0)
-    for sign in halves:
+    for sign in (1.0, -1.0) if curve.symmetric else (1.0,):
         for piece in curve.pieces:
             real = piece.real_domain()
             if real is None:
                 continue
-            grid = np.linspace(real[0], real[1], per_piece)
-            add([(sign * y, sign * piece.value(y)) for y in grid])
+            if xs:
+                xs.append(math.nan)
+                ys.append(math.nan)
+            grid = np.linspace(*real, _PLOT_SAMPLES)
+            xs.extend((sign * grid).tolist())
+            ys.extend((sign * piece.value(grid)).tolist())
     return Series(label, xs, ys, dashed=True)
 
 
@@ -505,7 +501,7 @@ def cmd_cycle(args) -> int:
     series = [Series("exact cycle", closed_y, closed_z)]
 
     if args.fit is not None:
-        fitted = geometry.fit_cycle(cycle, tol=args.fit, max_pieces=args.max_pieces)
+        fitted = geometry.fit_cycle(cycle, tol=args.fit)
         curve_path = out_dir / f"fit_{tag}.curve"
         geometry.write_curve(fitted, curve_path)
         print(f"wrote {curve_path}")
@@ -574,7 +570,7 @@ def cmd_fit(args) -> int:
     out_dir = _resolve_output_dir(args.output_dir)
     config = IntegratorConfig(n_samples=args.samples)
     cycle = limit_cycle(OscillatorSpec(system, eps), config)
-    fitted = geometry.fit_cycle(cycle, tol=args.tol, max_pieces=args.max_pieces)
+    fitted = geometry.fit_cycle(cycle, tol=args.tol)
     curve_path = out_dir / f"fit_{system}_eps{_eps_label(eps)}.curve"
     geometry.write_curve(fitted, curve_path)
     _print_fit_summary(fitted, cycle)
@@ -625,8 +621,8 @@ def cmd_report(args) -> int:
             "tuned second-order claim (<{:g}%) not reproduced",
         ),
         (
-            "vdp", VAN_DER_POL, (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 20.0, 50.0),
-            ("exact", "fit"), "rel_err_irgm", VDP_FIT_BOUND, "two-branch fit",
+            "vdp", VAN_DER_POL, VDP_FIT_GRID, ("exact", "fit"),
+            "rel_err_irgm", VDP_FIT_BOUND, "two-branch fit",
             "two-branch fit claim (<{:g}%) not reproduced on the report grid",
         ),
     ):
@@ -653,7 +649,7 @@ def cmd_report(args) -> int:
         cycle = limit_cycle(
             OscillatorSpec(system, 5.0), replace(config.integrator, n_samples=2000)
         )
-        fitted = geometry.fit_cycle(cycle, tol=0.1, max_pieces=20)
+        fitted = geometry.fit_cycle(cycle, tol=0.1)
         table = _bundled_for(system, 5.0)
         geometry.write_curve(fitted, out_dir / f"fit_{system}_eps5.curve")
         closed_y = np.append(cycle.y, cycle.y[0])
@@ -787,7 +783,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--appendix-c", action="store_true",
         help="overlay the bundled published table (eps = 5 only) and audit it",
     )
-    p.add_argument("--max-pieces", type=int, default=20)
     p.add_argument("--samples", type=int, default=2000, help="points per period")
     add_output(p)
     p.set_defaults(func=cmd_cycle)
@@ -796,7 +791,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--eps", required=True, type=float)
     p.add_argument("--tol", type=float, default=0.1)
-    p.add_argument("--max-pieces", type=int, default=20)
     p.add_argument("--samples", type=int, default=2000)
     add_output(p)
     p.set_defaults(func=cmd_fit)

@@ -63,12 +63,17 @@ __all__ = [
     "read_curve",
     "load_bundled",
     "BUNDLED_CURVES",
+    "MAX_PIECES",
 ]
 
 UPPER = "upper"
 LOWER = "lower"
 
 LINE_RADIUS_LIMIT = 1e3  # fitted arcs flatter than this become segments
+# fit_cycle's piece budget: at tol 0.1 van der Pol needs 20 pieces at eps
+# 40-45 and 23 at eps 50, Rayleigh at most 7 up to eps 50
+MAX_PIECES = 32
+_SCORE_SAMPLES = 200  # interior samples per piece in curve_distance
 
 
 @dataclass(frozen=True)
@@ -90,19 +95,20 @@ class Arc:
         """Positions where the square root is real: [center_y - r, center_y + r]."""
         return self.center[0] - self.radius, self.center[0] + self.radius
 
-    def value(self, y: float) -> float:
-        radicand = self.radius**2 - (y - self.center[0]) ** 2
-        if radicand < 0:
-            # keep the exact edges y = center_y +- radius usable: a deficit
-            # of a few ulps is rounding, not a genuinely imaginary root
-            if radicand < -16 * sys.float_info.epsilon * self.radius**2:
-                raise DomainError(
-                    f"imaginary square root: (y - {self.center[0]})^2 = "
-                    f"{(y - self.center[0])**2:.6g} > {self.radius**2:.6g}"
-                )
-            radicand = 0.0
-        root = math.sqrt(radicand)
-        return self.center[1] + root if self.branch == UPPER else self.center[1] - root
+    def value(self, y):
+        """``z`` at ``y``: a float for a float, an array for an array."""
+        offset2 = (np.asarray(y, dtype=float) - self.center[0]) ** 2
+        radicand = self.radius**2 - offset2
+        # keep the exact edges y = center_y +- radius usable: a deficit of a
+        # few ulps is rounding, not a genuinely imaginary root
+        if np.any(radicand < -16 * sys.float_info.epsilon * self.radius**2):
+            raise DomainError(
+                f"imaginary square root: (y - {self.center[0]})^2 = "
+                f"{np.max(offset2):.6g} > {self.radius**2:.6g}"
+            )
+        root = np.sqrt(np.maximum(radicand, 0.0))
+        z = self.center[1] + root if self.branch == UPPER else self.center[1] - root
+        return z if np.ndim(y) else float(z)
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,8 @@ class Segment:
     slope: float
     intercept: float
 
-    def value(self, y: float) -> float:
+    def value(self, y):
+        """``z`` at ``y``: a float for a float, an array for an array."""
         return self.slope * y + self.intercept
 
 
@@ -149,7 +156,7 @@ class CurvePiece:
         lo, hi = max(lo, self.y_low), min(hi, self.y_high)
         return (lo, hi) if lo < hi else None
 
-    def value(self, y: float) -> float:
+    def value(self, y):
         return self.shape.value(y)
 
 
@@ -378,18 +385,16 @@ class DistanceReport(NamedTuple):
     mean_dist: float
 
 
-def _sample_curve(curve: PiecewiseCurve, per_piece: int) -> np.ndarray:
+def _sample_curve(curve: PiecewiseCurve) -> np.ndarray:
     points = []
     for piece in curve.pieces:
         real = piece.real_domain()
         if real is None:
             continue
-        lo, hi = real
         # interior samples: the half-open convention and sqrt endpoints make
         # the exact edges fragile, and they carry no extra information
-        ys = np.linspace(lo, hi, per_piece + 2)[1:-1]
-        zs = np.array([piece.value(y) for y in ys])
-        points.append(np.column_stack([ys, zs]))
+        ys = np.linspace(*real, _SCORE_SAMPLES + 2)[1:-1]
+        points.append(np.column_stack([ys, piece.value(ys)]))
     if not points:
         raise DomainError("curve has no evaluable region")
     pts = np.vstack(points)
@@ -400,35 +405,32 @@ def _sample_curve(curve: PiecewiseCurve, per_piece: int) -> np.ndarray:
 
 def _points_to_polyline(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Distance from each point to a closed polyline, exact per segment."""
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
-    ab2 = np.maximum((ab * ab).sum(axis=1), 1e-300)
+    ay, az = poly.T
+    aby, abz = np.roll(ay, -1) - ay, np.roll(az, -1) - az
+    ab2 = np.maximum(aby * aby + abz * abz, 1e-300)
     out = np.empty(len(points))
     chunk = 256
     for start in range(0, len(points), chunk):
-        p = points[start : start + chunk]
-        # p: (n,2); a, ab: (m,2) -> pairwise via broadcasting
-        ap = p[:, None, :] - a[None, :, :]
-        t = np.clip((ap * ab[None, :, :]).sum(axis=2) / ab2[None, :], 0.0, 1.0)
-        closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-        d2 = ((p[:, None, :] - closest) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
+        # every (point, edge) pair, one (chunk, m) array per coordinate
+        py, pz = points[start : start + chunk, :1], points[start : start + chunk, 1:]
+        t = np.clip(((py - ay) * aby + (pz - az) * abz) / ab2, 0.0, 1.0)
+        dy, dz = py - (ay + t * aby), pz - (az + t * abz)
+        out[start : start + chunk] = np.sqrt((dy * dy + dz * dz).min(axis=1))
     return out
 
 
-def curve_distance(
-    curve: PiecewiseCurve, cycle: CycleRecord, *, per_piece: int = 200
-) -> DistanceReport:
+def curve_distance(curve: PiecewiseCurve, cycle: CycleRecord) -> DistanceReport:
     """Euclidean distance statistics from curve samples to an exact cycle.
 
-    Samples each piece's real domain, mirrors them when the curve is
-    symmetric, and measures the distance to the cycle's sampled polygon with
-    per-segment interpolation.
+    Samples 200 interior points of each piece's real domain, mirrors them
+    when the curve is symmetric, and measures the distance to the polygon
+    through the cycle's samples, exact per edge.  Those samples are evenly
+    spaced in arclength, so every edge is short and the polygon stays close
+    to the cycle through van der Pol's relaxation jumps too.
     """
     if not cycle.converged:
         raise DomainError("distance scoring needs a converged cycle")
-    pts = _sample_curve(curve, per_piece)
+    pts = _sample_curve(curve)
     poly = np.column_stack([cycle.y, cycle.z])
     dists = _points_to_polyline(pts, poly)
     return DistanceReport(float(dists.max()), float(dists.mean()))
@@ -503,41 +505,36 @@ def _fit_window(y: np.ndarray, z: np.ndarray) -> Shape:
 
 def _window_residual(shape: Shape, y: np.ndarray, z: np.ndarray) -> float:
     """Max vertical deviation of the window from the shape, inf if non-real."""
-    if isinstance(shape, Segment):
-        fit = shape.slope * y + shape.intercept
-    else:
-        radicand = shape.radius**2 - (y - shape.center[0]) ** 2
-        if np.any(radicand < 0):
-            return math.inf
-        root = np.sqrt(radicand)
-        fit = shape.center[1] + (root if shape.branch == UPPER else -root)
+    try:
+        fit = shape.value(y)
+    except DomainError:
+        return math.inf
     return float(np.max(np.abs(fit - z)))
 
 
-def fit_cycle(
-    cycle: CycleRecord, tol: float = 0.1, max_pieces: int = 20
-) -> PiecewiseCurve:
-    """Cover the cycle's upper half with few arcs/segments within ``tol``.
+def fit_cycle(cycle: CycleRecord, tol: float = 0.1) -> PiecewiseCurve:
+    """Cover the cycle's upper half with at most ``MAX_PIECES`` pieces within ``tol``.
 
     Greedy longest-prefix strategy: from the current start sample, grow the
     window as far as a single arc or segment through its endpoints stays
     within ``tol`` of every interior sample (vertical deviation), emit that
     piece, and continue from the window's end.  Because consecutive pieces
     share an interpolated endpoint, the result is continuous up to solver
-    noise, and its distance to the cycle is bounded by the fit tolerance.
+    noise.  The cycle's samples are evenly spaced in arclength, so no stretch
+    of the cycle falls between them and the fit's distance to the cycle is
+    bounded by the tolerance.  A cycle that needs more than ``MAX_PIECES``
+    pieces raises :class:`~limitcycles.errors.ConvergenceError`.
     """
     if tol <= 0:
         raise DomainError("fit tolerance must be positive")
-    if max_pieces < 1:
-        raise DomainError("max_pieces must be at least 1")
     yu, zu = _upper_half(cycle)
     n = len(yu)
     pieces: List[CurvePiece] = []
     start = 0
     while start < n - 1:
-        if len(pieces) >= max_pieces:
+        if len(pieces) >= MAX_PIECES:
             raise ConvergenceError(
-                f"fit needs more than {max_pieces} pieces "
+                f"fit needs more than {MAX_PIECES} pieces "
                 f"(covered y <= {yu[start]:.6g} of {yu[-1]:.6g})"
             )
         # exponential probe for an upper bound on the reachable window end

@@ -18,7 +18,10 @@ name goes to scipy as given.
 time units (about one relaxation period at large epsilon, where the cycle
 contracts by orders of magnitude per period), then watches successive
 section crossings until the per-cycle amplitude stabilizes below
-``cycle_tol``; the converged cycle is re-sampled uniformly over one period.
+``cycle_tol``; the converged cycle is re-sampled over one period at points
+evenly spaced in arclength, so van der Pol's fast relaxation jumps get as
+many samples as their length asks for and the polygon through the samples
+stays close to the cycle everywhere.
 :func:`amplitude_sweep` maps that over a grid of nonlinearity values,
 optionally across processes, recording per-point failures instead of
 aborting the sweep.
@@ -98,8 +101,11 @@ class Trajectory(NamedTuple):
 
 @dataclass
 class CycleRecord:
-    """One converged limit cycle, sampled uniformly over a single period.
+    """One converged limit cycle, sampled over a single period.
 
+    The ``n_samples`` points are evenly spaced in arclength along the cycle,
+    from the penultimate maximum of ``y`` (``t = 0``) to the last one
+    (``t = period``), so ``t`` increases but is not evenly spaced.
     ``history`` holds the per-cycle amplitude readings that led to
     convergence; ``state_gap`` is the max-norm mismatch between the start and
     end states of the sampled period (a closure diagnostic, not a gate).
@@ -362,6 +368,7 @@ def limit_cycle(
     up_abs: list = []  # |y| at upward crossings (the minima)
     t_now = 0.0
     converged = False
+    steps: list = []  # accepted watch steps (t, y, z) since the penultimate maximum
 
     while len(amps) < cfg.max_cycles:
         chunk = max(25.0, 3.0 * period_est)
@@ -383,8 +390,10 @@ def limit_cycle(
             amps.append(abs(float(s_i[0])))
         for s_i in s_up:
             up_abs.append(abs(float(s_i[0])))
+        steps.append(np.vstack([sol.t[1:], sol.y[:, 1:]]))
         if len(down_t) >= 2:
             period_est = down_t[-1] - down_t[-2]
+            steps = [c for c in steps if c[0, -1] > down_t[-2]]
         state = sol.y[:, -1]
         t_now = float(sol.t[-1])
         if len(amps) >= 2 and abs(amps[-1] - amps[-2]) < cfg.cycle_tol:
@@ -409,10 +418,17 @@ def limit_cycle(
             f"could not isolate a full cycle for {spec.kind} eps={spec.epsilon}"
         )
 
-    # one anchored period, re-sampled uniformly from the penultimate maximum
+    # one anchored period from the penultimate maximum, re-sampled evenly in
+    # arclength: the watch steps between the last two maxima give the chord
+    # length as a function of time, inverted by linear interpolation
     period = down_t[-1] - down_t[-2]
     anchor = down_states[-2]
-    t_eval = np.linspace(0.0, period, cfg.n_samples)
+    path = np.hstack(steps)
+    inside = (path[0] > down_t[-2]) & (path[0] < down_t[-1])
+    times = np.concatenate([[0.0], path[0, inside] - down_t[-2], [period]])
+    points = np.vstack([anchor, path[1:, inside].T, down_states[-1]])
+    length = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(points, axis=0).T))])
+    t_eval = np.interp(np.linspace(0.0, length[-1], cfg.n_samples), length, times)
     sol = _solve(fun, (0.0, period), anchor, cfg, t_eval=t_eval)
     y, z = sol.y
     state_gap = float(np.max(np.abs(sol.y[:, -1] - anchor)))

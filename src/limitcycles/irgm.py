@@ -13,8 +13,8 @@ module provides that relation in all directions:
 * :func:`amplitude_irgm` evaluates the amplitude given an exponent;
 * :func:`invert_h` recovers the exponent that reproduces a target amplitude —
   the per-eps "control curve" of the method;
-* :func:`amplitude_flow` is the explicit flow solution in the rescaled time,
-  and :func:`phase_rate` the non-perturbative phase drift;
+* :func:`amplitude_flow` is the explicit flow solution in the rescaled time
+  (the phase drift is :func:`~limitcycles.rgflow.rg_phase_rate` at eps=1);
 * :func:`vdp_fit` is the closed-form piecewise amplitude formula for the Van
   der Pol cycle built on top of this machinery.
 
@@ -46,7 +46,6 @@ __all__ = [
     "invert_h",
     "vdp_fit",
     "amplitude_flow",
-    "phase_rate",
 ]
 
 
@@ -127,13 +126,6 @@ def amplitude_flow(tau: float, a0: float) -> float:
     if radicand <= 0.0:
         raise DomainError(f"flow does not extend to tau={tau!r} from a0={a0!r}")
     return a0 / math.sqrt(radicand)
-
-
-def phase_rate(a: float) -> float:
-    """Non-perturbative phase drift ``-(1/8)(1 - a^4/32)``."""
-    if a < 0:
-        raise DomainError(f"amplitude must be nonnegative, got {a!r}")
-    return -0.125 * (1.0 - a**4 / 32.0)
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def test_criterion_12_cycle_fits_within_budget():
             else OscillatorSpec.van_der_pol(5.0)
         )
         cycle = limit_cycle(spec, IntegratorConfig(n_samples=2000))
-        fitted = fit_cycle(cycle, tol=tol, max_pieces=20)
+        fitted = fit_cycle(cycle, tol=tol)
         report = curve_distance(fitted, cycle)
         results.append((kind, len(fitted.pieces), report.max_dist))
     print(

@@ -26,7 +26,7 @@ from limitcycles.cli import (
     write_comparison_csv,
 )
 from limitcycles.errors import DomainError
-from limitcycles.geometry import read_curve
+from limitcycles.geometry import MAX_PIECES, read_curve
 from limitcycles.ham import TABLE_ONLY_CONTROL
 from limitcycles.integrator import IntegratorConfig
 
@@ -213,12 +213,11 @@ class TestFitCommand:
 
     def test_piece_budget_failure_exits_two(self, tmp_path):
         result = run_cli(
-            "fit", "--system", "vdp", "--eps", "5", "--tol", "0.01",
-            "--max-pieces", "2",
+            "fit", "--system", "vdp", "--eps", "5", "--tol", "1e-4",
             cwd=tmp_path,
         )
         assert result.returncode == 2
-        assert "more than 2 pieces" in result.stderr
+        assert f"more than {MAX_PIECES} pieces" in result.stderr
 
 
 class TestOutputDirResolution:

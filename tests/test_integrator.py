@@ -91,6 +91,19 @@ def test_cycle_is_odd_symmetric():
     assert np.max(np.abs(folded)) < 5e-4
 
 
+@pytest.mark.parametrize(
+    "kind, eps",
+    [("vanderpol", 5.0), ("vanderpol", 30.0), ("vanderpol", 50.0), ("rayleigh", 30.0)],
+)
+def test_cycle_samples_are_even_in_arclength(kind, eps):
+    # the relaxation jumps get as many samples as their length asks for
+    rec = limit_cycle(OscillatorSpec(kind, eps), IntegratorConfig(n_samples=2000))
+    chords = np.hypot(np.diff(rec.y), np.diff(rec.z))
+    assert chords.max() <= 1.5 * chords.mean()
+    assert rec.t[0] == 0.0 and rec.t[-1] == rec.period
+    assert np.all(np.diff(rec.t) > 0)
+
+
 def test_amplitude_matches_sampled_extremum():
     rec = limit_cycle(OscillatorSpec.rayleigh(2.0))
     assert rec.amplitude >= np.max(np.abs(rec.y)) - 1e-12
