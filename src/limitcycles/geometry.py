@@ -14,7 +14,8 @@ yHigh]`` of the position coordinate.  This module provides:
   domain against its real interval (the bundled reference tables contain
   genuine defects, which these reports surface rather than hide);
 * scoring: :func:`curve_distance` measures Euclidean distance from curve
-  samples to an exact integrated cycle;
+  samples to an exact integrated cycle, on the edges with an endpoint within
+  ``d_v + L_max/2`` of a sample only (the all-pairs minimum, bit for bit);
 * fitting: :func:`fit_cycle` greedily covers a computed cycle's upper half
   with the fewest arcs/segments keeping the residual below a tolerance.
   Pieces interpolate their window endpoints, so adjacent pieces meet exactly
@@ -38,6 +39,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, DomainError
 from .integrator import CycleRecord
@@ -120,7 +122,8 @@ class Segment:
 
     def value(self, y):
         """``z`` at ``y``: a float for a float, an array for an array."""
-        return self.slope * y + self.intercept
+        z = self.slope * np.asarray(y, dtype=float) + self.intercept
+        return z if np.ndim(y) else float(z)
 
 
 Shape = Union[Arc, Segment]
@@ -408,15 +411,19 @@ def _points_to_polyline(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     ay, az = poly.T
     aby, abz = np.roll(ay, -1) - ay, np.roll(az, -1) - az
     ab2 = np.maximum(aby * aby + abz * abz, 1e-300)
-    out = np.empty(len(points))
-    chunk = 256
-    for start in range(0, len(points), chunk):
-        # every (point, edge) pair, one (chunk, m) array per coordinate
-        py, pz = points[start : start + chunk, :1], points[start : start + chunk, 1:]
-        t = np.clip(((py - ay) * aby + (pz - az) * abz) / ab2, 0.0, 1.0)
-        dy, dz = py - (ay + t * aby), pz - (az + t * abz)
-        out[start : start + chunk] = np.sqrt((dy * dy + dz * dz).min(axis=1))
-    return out
+    tree = cKDTree(poly)
+    reach = (tree.query(points)[0] + 0.5 * math.sqrt(ab2.max())) * (1 + 1e-9)
+    near = tree.query_ball_point(points, reach, return_sorted=False)
+    vertex = np.concatenate(near).astype(np.intp)
+    owner = np.tile(np.repeat(np.arange(len(points)), [len(v) for v in near]), 2)
+    edge = np.concatenate([vertex - 1, vertex]) % len(poly)  # both edges at a vertex
+    ay, az, aby, abz, ab2 = ay[edge], az[edge], aby[edge], abz[edge], ab2[edge]
+    py, pz = points[owner, 0], points[owner, 1]
+    t = np.clip(((py - ay) * aby + (pz - az) * abz) / ab2, 0.0, 1.0)
+    dy, dz = py - (ay + t * aby), pz - (az + t * abz)
+    out = np.full(len(points), np.inf)
+    np.minimum.at(out, owner, dy * dy + dz * dz)
+    return np.sqrt(out)
 
 
 def curve_distance(curve: PiecewiseCurve, cycle: CycleRecord) -> DistanceReport:
@@ -426,13 +433,16 @@ def curve_distance(curve: PiecewiseCurve, cycle: CycleRecord) -> DistanceReport:
     when the curve is symmetric, and measures the distance to the polygon
     through the cycle's samples, exact per edge.  Those samples are evenly
     spaced in arclength, so every edge is short and the polygon stays close
-    to the cycle through van der Pol's relaxation jumps too.
+    to the cycle through van der Pol's relaxation jumps too.  A point's
+    nearest vertex, at ``d_v``, bounds its distance, and an edge lies within
+    half its length of an endpoint, so a k-d tree measures only the edges
+    with an endpoint within ``(d_v + L_max/2)(1 + 1e-9)``, ``L_max`` the
+    longest edge: the result is the all-pairs minimum, bit for bit.
     """
     if not cycle.converged:
         raise DomainError("distance scoring needs a converged cycle")
     pts = _sample_curve(curve)
-    poly = np.column_stack([cycle.y, cycle.z])
-    dists = _points_to_polyline(pts, poly)
+    dists = _points_to_polyline(pts, np.column_stack([cycle.y, cycle.z]))
     return DistanceReport(float(dists.max()), float(dists.mean()))
 
 
@@ -597,7 +607,7 @@ def write_curve(curve: PiecewiseCurve, path) -> None:
                 )
 
 
-def _parse_piece(line: str, where: str) -> CurvePiece:
+def _parse_piece(line: str) -> CurvePiece:
     tokens = line.split()
     kind, fields = tokens[0], {}
     for token in tokens[1:]:
@@ -605,7 +615,7 @@ def _parse_piece(line: str, where: str) -> CurvePiece:
         fields[key] = value
     match = _DOMAIN_RE.match(fields.get("domain", ""))
     if not match:
-        raise DomainError(f"{where}: malformed domain in {line!r}")
+        raise DomainError("malformed domain")
     y_low, y_high = float(match.group(1)), float(match.group(2))
     if kind == "segment":
         shape: Shape = Segment(float(fields["slope"]), float(fields["intercept"]))
@@ -620,7 +630,7 @@ def _parse_piece(line: str, where: str) -> CurvePiece:
             fields["branch"],
         )
     else:
-        raise DomainError(f"{where}: unknown piece kind {kind!r}")
+        raise DomainError(f"unknown piece kind {kind!r}")
     return CurvePiece(shape, y_low, y_high)
 
 
@@ -637,7 +647,12 @@ def _parse_curve(text: str, where: str) -> PiecewiseCurve:
         elif line.startswith("symmetric:"):
             symmetric = line.split(":", 1)[1].strip().lower() == "true"
         else:
-            pieces.append(_parse_piece(line, where))
+            try:
+                pieces.append(_parse_piece(line))
+            except KeyError as exc:
+                raise DomainError(f"{where}: missing field {exc} in {line!r}") from None
+            except ValueError as exc:  # a DomainError too
+                raise DomainError(f"{where}: {exc} in {line!r}") from None
     if not pieces:
         raise DomainError(f"{where}: no pieces found")
     return PiecewiseCurve(tuple(pieces), symmetric=symmetric, name=name)

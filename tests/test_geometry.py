@@ -1,10 +1,11 @@
 """Tests for piecewise arc/segment curves, audits, and cycle fitting."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from limitcycles.errors import ConvergenceError, DomainError
 from limitcycles.geometry import (
@@ -26,7 +27,12 @@ from limitcycles.geometry import (
     reflect,
     write_curve,
 )
-from limitcycles.geometry import _window_residual
+from limitcycles.geometry import (
+    DistanceReport,
+    _points_to_polyline,
+    _sample_curve,
+    _window_residual,
+)
 from limitcycles.integrator import IntegratorConfig, limit_cycle
 from limitcycles.oscillators import OscillatorSpec
 
@@ -48,6 +54,46 @@ def eps5_cycles():
         "rayleigh": limit_cycle(OscillatorSpec.rayleigh(5.0), config),
         "vanderpol": limit_cycle(OscillatorSpec.van_der_pol(5.0), config),
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle(form, eps):
+    """One 2000-sample cycle per (form, eps), shared by the tests below."""
+    if form == "lienard":  # van der Pol written as a generic Lienard system
+        spec = OscillatorSpec.lienard(eps, lambda y, z: z * (y * y - 1.0), lambda y: y)
+    elif form == "vanderpol":
+        spec = OscillatorSpec.van_der_pol(eps)
+    else:
+        spec = OscillatorSpec.rayleigh(eps)
+    return limit_cycle(spec, IntegratorConfig(n_samples=2000))
+
+
+def _all_pairs_distance(points, poly):
+    """Reference scorer: the distance to every edge of the closed polyline."""
+    ay, az = poly.T
+    aby, abz = np.roll(ay, -1) - ay, np.roll(az, -1) - az
+    ab2 = np.maximum(aby * aby + abz * abz, 1e-300)
+    out = np.empty(len(points))
+    for start in range(0, len(points), 256):
+        py, pz = points[start : start + 256, :1], points[start : start + 256, 1:]
+        t = np.clip(((py - ay) * aby + (pz - az) * abz) / ab2, 0.0, 1.0)
+        dy, dz = py - (ay + t * aby), pz - (az + t * abz)
+        out[start : start + 256] = np.sqrt((dy * dy + dz * dz).min(axis=1))
+    return out
+
+
+def _assert_scores_like_all_pairs(curve, cycle):
+    points, poly = _sample_curve(curve), np.column_stack([cycle.y, cycle.z])
+    reference = _all_pairs_distance(points, poly)
+    assert np.array_equal(_points_to_polyline(points, poly), reference)
+    assert curve_distance(curve, cycle) == DistanceReport(
+        float(reference.max()), float(reference.mean())
+    )
+
+
+# polyline coordinates: a half-integer grid repeats vertices (zero-length
+# edges) and lines them up, arbitrary floats fill in between
+_vertex_coordinate = st.one_of(st.integers(-8, 8).map(lambda k: k / 2), st.floats(-4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +118,17 @@ class TestShapes:
 
     def test_segment_value(self):
         assert Segment(10.0, 43.9).value(-4.3) == pytest.approx(0.9)
+
+    def test_scalar_value_is_a_python_float(self):
+        arc, segment = Arc((1.0, 2.0), 5.0, "upper"), Segment(-2.5, 0.75)
+        curve = PiecewiseCurve(
+            (CurvePiece(segment, -1.0, 1.0), CurvePiece(arc, 1.0, 6.0)), symmetric=False
+        )
+        for y in (2.0, np.float64(2.0), 2, np.int64(2)):
+            assert type(arc.value(y)) is float
+            assert type(segment.value(y)) is float
+            assert type(eval_piecewise(curve, y)) is float
+        assert type(eval_piecewise(curve, np.float64(0.5))) is float  # the segment
 
     def test_array_value_is_the_scalar_value_elementwise(self):
         ys = np.linspace(-0.2, 0.4, 13)  # both exact edges of the arcs
@@ -273,6 +330,38 @@ class TestDistance:
         assert sym.max_dist >= asym.max_dist
         assert sym.max_dist == pytest.approx(asym.max_dist, abs=1e-3)
 
+    def test_tables_score_like_all_pairs(self, rayleigh_table, vdp_table, eps5_cycles):
+        _assert_scores_like_all_pairs(rayleigh_table, eps5_cycles["rayleigh"])
+        _assert_scores_like_all_pairs(vdp_table, eps5_cycles["vanderpol"])
+
+    @pytest.mark.parametrize(
+        "form, eps",
+        [(form, eps) for form in ("vanderpol", "lienard") for eps in (15.0, 30.0, 50.0)]
+        + [("rayleigh", 0.5), ("rayleigh", 50.0)],
+    )
+    def test_fits_score_like_all_pairs(self, form, eps):
+        cycle = _cycle(form, eps)
+        _assert_scores_like_all_pairs(fit_cycle(cycle, tol=0.1), cycle)
+
+    @given(
+        poly=st.lists(
+            st.tuples(_vertex_coordinate, _vertex_coordinate), min_size=1, max_size=40
+        ),
+        points=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=30
+        ),
+    )
+    # one long edge passes next to the point while both of its endpoints,
+    # and every other vertex, lie far from it: the L_max/2 term finds it
+    @example(poly=[(-10.0, 0.0), (10.0, 0.0), (0.0, 5.0)], points=[(0.0, 0.1)])
+    def test_pruned_search_is_all_pairs_bit_for_bit(self, poly, points):
+        # repeated vertices give zero-length edges, random orders give
+        # self-crossings, and the points reach far outside the polyline
+        poly, points = np.array(poly), np.array(points)
+        assert np.array_equal(
+            _points_to_polyline(points, poly), _all_pairs_distance(points, poly)
+        )
+
     def test_unconverged_cycle_rejected(self, eps5_cycles):
         from dataclasses import replace
 
@@ -322,12 +411,7 @@ class TestFitCycle:
     def test_fit_within_tol_through_relaxation_jumps(self, form, eps):
         # the samples resolve the fast jumps, so the fit's tolerance bounds
         # its distance to the cycle at large eps too
-        spec = (
-            OscillatorSpec.van_der_pol(eps)
-            if form == "vanderpol"
-            else OscillatorSpec.lienard(eps, lambda y, z: z * (y * y - 1.0), lambda y: y)
-        )
-        cycle = limit_cycle(spec, IntegratorConfig(n_samples=2000))
+        cycle = _cycle(form, eps)
         fit = fit_cycle(cycle, tol=0.1)
         assert curve_distance(fit, cycle).max_dist <= 0.1
 
@@ -386,6 +470,22 @@ class TestCurveFiles:
         path.write_text("# nothing here\n")
         with pytest.raises(DomainError, match="no pieces"):
             read_curve(path)
+
+    def test_missing_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.curve"
+        line = "arc center_y=0.0 radius=2.0 branch=upper domain=(-1.0,0.0]"
+        path.write_text(line + "\n")
+        with pytest.raises(DomainError, match="missing field 'center_z'") as info:
+            read_curve(path)
+        assert str(path) in str(info.value) and line in str(info.value)
+
+    def test_non_numeric_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.curve"
+        line = "segment slope=steep intercept=0.0 domain=(-1.0,0.0]"
+        path.write_text(line + "\n")
+        with pytest.raises(DomainError, match="steep") as info:
+            read_curve(path)
+        assert str(path) in str(info.value) and line in str(info.value)
 
     def test_unknown_bundle_name(self):
         with pytest.raises(DomainError, match="unknown bundled curve"):
