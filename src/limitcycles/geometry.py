@@ -38,8 +38,6 @@ from importlib import resources
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, DomainError
 from .integrator import CycleRecord
@@ -408,6 +406,7 @@ def _sample_curve(curve: PiecewiseCurve) -> np.ndarray:
 
 def _points_to_polyline(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Distance from each point to a closed polyline, exact per segment."""
+    from scipy.spatial import cKDTree
     ay, az = poly.T
     aby, abz = np.roll(ay, -1) - ay, np.roll(az, -1) - az
     ab2 = np.maximum(aby * aby + abz * abz, 1e-300)
@@ -479,6 +478,7 @@ def _fit_window(y: np.ndarray, z: np.ndarray) -> Shape:
     least-squares geometric residual.  Radii beyond ``LINE_RADIUS_LIMIT``
     collapse to the chord segment.
     """
+    from scipy.optimize import minimize_scalar
     p0 = np.array([y[0], z[0]])
     p1 = np.array([y[-1], z[-1]])
     chord = p1 - p0
@@ -583,6 +583,10 @@ def fit_cycle(cycle: CycleRecord, tol: float = 0.1) -> PiecewiseCurve:
 _DOMAIN_RE = re.compile(r"^\(([^,]+),([^\]]+)\]$")
 
 BUNDLED_CURVES = ("rayleigh_eps5", "vdp_eps5")
+_PIECE_KEYS = {
+    "segment": {"slope", "intercept", "domain"},
+    "arc": {"center_y", "center_z", "radius", "radius2", "branch", "domain"},
+}
 
 
 def write_curve(curve: PiecewiseCurve, path) -> None:
@@ -608,10 +612,18 @@ def write_curve(curve: PiecewiseCurve, path) -> None:
 
 
 def _parse_piece(line: str) -> CurvePiece:
-    tokens = line.split()
-    kind, fields = tokens[0], {}
-    for token in tokens[1:]:
-        key, _, value = token.partition("=")
+    kind, *tokens = line.split()
+    if kind not in _PIECE_KEYS:
+        raise DomainError(f"unknown piece kind {kind!r}")
+    fields = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise DomainError(f"token {token!r} is not key=value")
+        if key not in _PIECE_KEYS[kind]:
+            raise DomainError(f"unknown {kind} field {key!r}")
+        if key in fields:
+            raise DomainError(f"repeated field {key!r}")
         fields[key] = value
     match = _DOMAIN_RE.match(fields.get("domain", ""))
     if not match:
@@ -619,7 +631,7 @@ def _parse_piece(line: str) -> CurvePiece:
     y_low, y_high = float(match.group(1)), float(match.group(2))
     if kind == "segment":
         shape: Shape = Segment(float(fields["slope"]), float(fields["intercept"]))
-    elif kind == "arc":
+    else:
         if "radius" in fields:
             radius = float(fields["radius"])
         else:
@@ -629,8 +641,6 @@ def _parse_piece(line: str) -> CurvePiece:
             radius,
             fields["branch"],
         )
-    else:
-        raise DomainError(f"unknown piece kind {kind!r}")
     return CurvePiece(shape, y_low, y_high)
 
 
@@ -645,7 +655,10 @@ def _parse_curve(text: str, where: str) -> PiecewiseCurve:
         if line.startswith("name:"):
             name = line.split(":", 1)[1].strip()
         elif line.startswith("symmetric:"):
-            symmetric = line.split(":", 1)[1].strip().lower() == "true"
+            value = line.split(":", 1)[1].strip().lower()
+            if value not in ("true", "false"):
+                raise DomainError(f"{where}: symmetric must be true or false in {line!r}")
+            symmetric = value == "true"
         else:
             try:
                 pieces.append(_parse_piece(line))
@@ -659,6 +672,9 @@ def _parse_curve(text: str, where: str) -> PiecewiseCurve:
 
 
 def read_curve(path) -> PiecewiseCurve:
+    """Read :func:`write_curve`'s format; a missing, unknown or repeated field,
+    a token without ``=`` or a ``symmetric`` other than true/false raises
+    :class:`~limitcycles.errors.DomainError` naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_curve(fh.read(), str(path))
 

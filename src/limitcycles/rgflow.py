@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 
@@ -77,6 +76,7 @@ def a_rg(eps: float) -> float:
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be positive, got {eps!r}")
+    from scipy.optimize import brentq
 
     def rate(r: float) -> float:
         return rg_amp_rate(r, eps)

@@ -2,7 +2,8 @@
 
 Most tests call :func:`limitcycles.cli.main` in-process from a temporary
 working directory; two run ``python -m limitcycles`` as a child process to
-check the exit code and stderr of the real entry point.
+check the exit code and stderr of the real entry point, and one runs a
+fresh interpreter to check which modules a cold start loads.
 """
 
 import csv
@@ -28,7 +29,8 @@ from limitcycles.cli import (
 from limitcycles.errors import DomainError
 from limitcycles.geometry import MAX_PIECES, read_curve
 from limitcycles.ham import TABLE_ONLY_CONTROL
-from limitcycles.integrator import IntegratorConfig
+from limitcycles.integrator import IntegratorConfig, limit_cycle
+from limitcycles.oscillators import OscillatorSpec
 
 
 # The directory holding the package these tests imported.  The child process
@@ -38,18 +40,22 @@ from limitcycles.integrator import IntegratorConfig
 PACKAGE_ROOT = str(Path(limitcycles.__file__).resolve().parents[1])
 
 
-def run_cli(*args, cwd):
+def run_python(*args, cwd):
     env = dict(os.environ)
     paths = (PACKAGE_ROOT, env.get("PYTHONPATH", ""))
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     return subprocess.run(
-        [sys.executable, "-m", "limitcycles", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
         timeout=300,
     )
+
+
+def run_cli(*args, cwd):
+    return run_python("-m", "limitcycles", *args, cwd=cwd)
 
 
 @pytest.fixture
@@ -153,6 +159,14 @@ class TestSweepCommand:
         assert (tmp_path / "a/sweep_vanderpol.csv").read_bytes() == (
             tmp_path / "b/sweep_vanderpol.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "args", [("sweep", "--system", "rayleigh", "--grid", "1"), ("report",)]
+    )
+    def test_jobs_below_one_exits_one(self, cli, args):
+        result = cli(*args, "--jobs", "0")
+        assert result.returncode == 1
+        assert "jobs must be at least 1" in result.stderr
 
     def test_irgm_and_fit_conflict(self, cli):
         result = cli(
@@ -353,3 +367,36 @@ class TestBuildComparison:
             parsed = list(csv.reader(fh))
         assert [len(row) for row in parsed] == [8, 8, 8]
         assert parsed[2][-1] == message
+
+
+# A fresh interpreter serves every closed form, the bundled tables, curve
+# files and an ``amplitude --method ham`` call with numpy alone; scipy loads
+# at the first integration.
+COLD_START = """
+import sys
+import limitcycles, limitcycles.cli
+from limitcycles import geometry, ham, irgm
+from limitcycles.integrator import limit_cycle
+from limitcycles.oscillators import OscillatorSpec
+
+tables = [geometry.load_bundled(name) for name in geometry.BUNDLED_CURVES]
+ham.amplitude_ham(1.0)
+irgm.vdp_fit(5.0)
+irgm.amplitude_irgm(1.0, 1.0, irgm.RAYLEIGH_CONSTANT)
+ham.expansion(2)
+geometry.write_curve(tables[0], "table.curve")
+geometry.read_curve("table.curve")
+argv = ["amplitude", "--system", "rayleigh", "--eps", "1", "--method", "ham"]
+assert limitcycles.cli.main(argv) == 0
+print("scipy:", sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print("amplitude:", repr(limit_cycle(OscillatorSpec.rayleigh(1.0)).amplitude))
+"""
+
+
+def test_cold_start_loads_scipy_only_to_integrate(tmp_path):
+    result = run_python("-c", COLD_START, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    *_, scipy_line, amplitude_line = result.stdout.splitlines()
+    assert scipy_line == "scipy: []"
+    amplitude = float(amplitude_line.removeprefix("amplitude: "))
+    assert amplitude == limit_cycle(OscillatorSpec.rayleigh(1.0)).amplitude

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -484,6 +485,35 @@ class TestCurveFiles:
         line = "segment slope=steep intercept=0.0 domain=(-1.0,0.0]"
         path.write_text(line + "\n")
         with pytest.raises(DomainError, match="steep") as info:
+            read_curve(path)
+        assert str(path) in str(info.value) and line in str(info.value)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("symmetric: ture", "symmetric must be true or false"),
+            (
+                "segment slope=1.0 intercept=0.0 colour=red domain=(-1.0,0.0]",
+                "unknown segment field 'colour'",
+            ),
+            (
+                "segment slope=1.0 junk intercept=0.0 domain=(-1.0,0.0]",
+                "token 'junk' is not key=value",
+            ),
+            (
+                "segment slope=1.0 slope=2.0 intercept=0.0 domain=(-1.0,0.0]",
+                "repeated field 'slope'",
+            ),
+        ],
+        ids=["symmetric-typo", "unknown-field", "bare-token", "repeated-field"],
+    )
+    def test_strict_grammar_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.curve"
+        path.write_text(
+            "name: strict\n" + line + "\n"
+            "segment slope=1.0 intercept=0.0 domain=(0.0,1.0]\n"
+        )
+        with pytest.raises(DomainError, match=re.escape(message)) as info:
             read_curve(path)
         assert str(path) in str(info.value) and line in str(info.value)
 

@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import limitcycles.integrator as integrator
+from limitcycles._rk45 import _PlanarRK45
 from limitcycles.errors import ConvergenceError, DomainError
 from limitcycles.integrator import (
     AmplitudeCurve,
@@ -179,6 +180,12 @@ def test_sweep_serial_and_parallel_agree(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(DomainError, match="jobs must be at least 1"):
+        amplitude_sweep("rayleigh", [0.5, 1.0], jobs=jobs)
+
+
 def test_sweep_csv_quotes_an_error_with_a_comma(tmp_path):
     cfg = IntegratorConfig(transient_time=0.0, max_cycles=2, cycle_tol=1e-16)
     curve = amplitude_sweep("rayleigh", [1.0, 2.0], cfg)
@@ -295,7 +302,7 @@ def test_planar_stepper_fails_like_scipy_at_a_blow_up(t_final):
 
     seed = [math.copysign(1.0, t_final), 1.0]
     kw = dict(rtol=1e-9, atol=1e-11)
-    ours = solve_ivp(fun, (0.0, t_final), seed, method=integrator._PlanarRK45, **kw)
+    ours = solve_ivp(fun, (0.0, t_final), seed, method=_PlanarRK45, **kw)
     ref = solve_ivp(fun, (0.0, t_final), seed, method="RK45", **kw)
     assert not ours.success and ours.message == ref.message
     assert ours.nfev == ref.nfev and ours.t.size == ref.t.size
@@ -320,7 +327,7 @@ def test_lienard_spec_steps_in_the_planar_class(monkeypatch):
         1.0, lambda y, z: z * (y * y - 1.0), lambda y: y
     )
     rec = limit_cycle(vdp_as_callables)
-    assert seen and all(m is integrator._PlanarRK45 for m in seen)
+    assert seen and all(m is _PlanarRK45 for m in seen)
     named = limit_cycle(OscillatorSpec.van_der_pol(1.0)).amplitude
     assert rec.amplitude == pytest.approx(named, abs=1e-12)
 
