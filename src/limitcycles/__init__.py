@@ -71,11 +71,9 @@ from .oscillators import (
     RAYLEIGH,
     VAN_DER_POL,
     OscillatorSpec,
-    PhasePoint,
     rayleigh_vdp_link,
-    rhs,
 )
-from .rgflow import RgState, a_rg, renormalized_solution, rg_amp_rate, rg_phase_rate
+from .rgflow import a_rg, renormalized_solution, rg_amp_rate, rg_phase_rate
 from .trigpoly import DeformationSolution, Poly2, TrigSeries, solve_deformation
 
 __version__ = "0.1.0"
@@ -90,9 +88,7 @@ __all__ = [
     "RAYLEIGH",
     "VAN_DER_POL",
     "OscillatorSpec",
-    "PhasePoint",
     "rayleigh_vdp_link",
-    "rhs",
     # integration
     "AmplitudeCurve",
     "CycleRecord",
@@ -120,7 +116,6 @@ __all__ = [
     "solve_order",
     "step_coefficient",
     # slow flow
-    "RgState",
     "a_rg",
     "renormalized_solution",
     "rg_amp_rate",

@@ -29,9 +29,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .ham import (
     control_h,
 )
 from .integrator import IntegratorConfig, amplitude_sweep, limit_cycle
-from .irgm import PRESETS, amplitude_irgm, consistency_report, get_preset, vdp_fit
+from .irgm import amplitude_irgm, consistency_report, get_preset, vdp_fit
 from .oscillators import RAYLEIGH, VAN_DER_POL, OscillatorSpec
 from .rgflow import a_rg
 from .svgplot import Series, save_plot
@@ -63,7 +63,22 @@ _SYSTEM_ALIASES = {
     "van-der-pol": VAN_DER_POL,
 }
 
-METHODS = ("exact", "ham", "rg", "irgm", "fit")
+
+class _Method(NamedTuple):
+    system: Optional[str]  # the one system it covers; None covers both
+    column: str  # the ComparisonRow field it fills
+    label: str  # its legend label
+
+
+# every method, in series order; _amplitude_record calls the closed forms by
+# their names in this module, so patching cli.amplitude_ham etc. sees each call
+_METHODS = {
+    "exact": _Method(None, "a_exact", "exact"),
+    "ham": _Method(RAYLEIGH, "a_ham", "tuned 2nd order"),
+    "rg": _Method(RAYLEIGH, "a_rg", "flow balance"),
+    "irgm": _Method(None, "a_irgm", "calibrated closed form"),
+    "fit": _Method(VAN_DER_POL, "a_irgm", "two-branch fit"),
+}
 
 _DEFAULT_PRESET = {RAYLEIGH: "rayleigh", VAN_DER_POL: "vdp-consistent"}
 
@@ -96,7 +111,7 @@ class RunConfig:
     )
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     ham_control: HamControl = field(default_factory=lambda: DEFAULT_CONTROL)
-    irgm_preset: str = "rayleigh"
+    irgm_preset: Optional[str] = None  # None: the system's own preset
     output_dir: str = "."
 
     def __post_init__(self):
@@ -108,11 +123,8 @@ class RunConfig:
             raise DomainError("eps_grid values must be positive")
         if any(b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
             raise DomainError("eps_grid must be strictly increasing")
-        if self.irgm_preset not in PRESETS:
-            raise DomainError(
-                f"unknown calibration preset {self.irgm_preset!r}; "
-                f"choose from {sorted(PRESETS)}"
-            )
+        if self.irgm_preset is not None:
+            get_preset(self.irgm_preset)  # an unknown name raises
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -175,21 +187,11 @@ class ComparisonRow:
     CSV_HEADER = "eps,a_exact,a_ham,a_rg,a_irgm,rel_err_ham,rel_err_irgm,error"
 
     def csv_row(self) -> List[str]:
-        """The row's cells, for :func:`csv.writer`."""
-
-        def cell(v: Optional[float]) -> str:
-            return "" if v is None or not math.isfinite(v) else f"{v:.11e}"
-
-        return [
-            f"{self.eps:.11e}",
-            cell(self.a_exact),
-            cell(self.a_ham),
-            cell(self.a_rg),
-            cell(self.a_irgm),
-            cell(self.rel_err_ham),
-            cell(self.rel_err_irgm),
-            self.error,
-        ]
+        """The row's cells, for :func:`csv.writer`: the numbers, each empty
+        when missing, then the error."""
+        *numbers, error = (getattr(self, f.name) for f in fields(self))
+        cells = ["" if v is None or not math.isfinite(v) else f"{v:.11e}" for v in numbers]
+        return cells + [error]
 
 
 def _relative_percent(approx: Optional[float], exact: Optional[float]) -> Optional[float]:
@@ -200,7 +202,7 @@ def _relative_percent(approx: Optional[float], exact: Optional[float]) -> Option
     return abs((exact - approx) / exact) * 100.0
 
 
-def _method_amplitude(
+def _amplitude_record(
     system: str,
     eps: float,
     method: str,
@@ -208,32 +210,35 @@ def _method_amplitude(
     preset: Optional[str],
     h_rg: float,
     control: HamControl,
-) -> float:
-    """Closed-form methods only; ``exact`` is handled by the sweep driver."""
+    config: Optional[IntegratorConfig] = None,
+) -> Dict[str, object]:
+    """One method's amplitude at ``eps`` and the settings that produced it."""
+    covers = _METHODS[method].system
+    if covers not in (None, system):
+        raise DomainError(
+            f"method {method!r} ({_METHODS[method].label}) covers the {covers} "
+            f"system, not {system}"
+        )
+    if method == "exact":
+        cycle = limit_cycle(OscillatorSpec(system, eps), config)
+        names = ("amplitude", "period", "cycles_used")
+        return {name: getattr(cycle, name) for name in names}
     if method == "ham":
-        if system != RAYLEIGH:
-            raise DomainError(
-                "the tuned control table is calibrated for the rayleigh system"
-            )
-        return amplitude_ham(eps, control)
+        amplitude = amplitude_ham(eps, control)
+        return {"amplitude": amplitude, "control_h": control_h(eps, control)}
     if method == "rg":
-        if system != RAYLEIGH:
-            raise DomainError("the flow-balance amplitude applies to the rayleigh system")
-        return a_rg(eps)
-    if method == "irgm":
-        name = preset or _DEFAULT_PRESET[system]
-        calibration = get_preset(name)
-        if calibration.system != system:
-            raise DomainError(
-                f"preset {name!r} calibrates the {calibration.system} system, "
-                f"not {system}"
-            )
-        return amplitude_irgm(eps, h_rg, calibration.constant)
+        return {"amplitude": a_rg(eps)}
     if method == "fit":
-        if system != VAN_DER_POL:
-            raise DomainError("the two-branch amplitude fit covers the vanderpol system")
-        return vdp_fit(eps)
-    raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
+        return {"amplitude": vdp_fit(eps)}
+    name = preset or _DEFAULT_PRESET[system]
+    calibration = get_preset(name)
+    if calibration.system != system:
+        raise DomainError(
+            f"preset {name!r} calibrates the {calibration.system} system, "
+            f"not {system}"
+        )
+    amplitude = amplitude_irgm(eps, h_rg, calibration.constant)
+    return {"amplitude": amplitude, "preset": name, "h_rg": h_rg}
 
 
 def build_comparison(
@@ -250,57 +255,49 @@ def build_comparison(
     """Evaluate the requested methods over the grid, one row per point.
 
     Per-point integration failures land in the row's ``error`` column and
-    the run continues.  ``irgm`` and ``fit`` share the closed-form column,
-    so they are mutually exclusive in one table.
+    the run continues.  Two methods that fill the same column (``irgm`` and
+    ``fit``) are mutually exclusive in one table.
     """
     system = _canonical_system(system)
+    owners: Dict[str, str] = {}
     for method in methods:
-        if method not in METHODS:
-            raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
-    if "irgm" in methods and "fit" in methods:
-        raise DomainError(
-            "irgm and fit share the closed-form column; request one of them"
-        )
+        if method not in _METHODS:
+            raise DomainError(f"unknown method {method!r}; choose from {tuple(_METHODS)}")
+        owner = owners.setdefault(_METHODS[method].column, method)
+        if owner != method:
+            raise DomainError(
+                f"{owner} and {method} share the closed-form column; "
+                "request one of them"
+            )
 
-    exact: Dict[float, float] = {}
+    exact: Dict[float, Optional[float]] = {}
     errors: Dict[float, str] = {}
     if "exact" in methods:
         curve = amplitude_sweep(system, eps_grid, config, jobs=jobs)
         for e, a, msg in zip(curve.eps, curve.amplitude, curve.errors):
-            exact[float(e)] = float(a)
+            exact[float(e)] = float(a) if math.isfinite(a) else None
             errors[float(e)] = msg
 
+    closed_forms = [m for m in methods if m != "exact"]
     rows = []
     for eps in eps_grid:
-        values: Dict[str, Optional[float]] = {
-            "ham": None, "rg": None, "irgm": None,
-        }
-        notes = []
-        if errors.get(eps):
-            notes.append(errors[eps])
-        for method in methods:
-            if method == "exact":
-                continue
-            column = "irgm" if method == "fit" else method
+        a_exact = exact.get(eps)
+        values: Dict[str, Optional[float]] = {"a_exact": a_exact}
+        notes = [errors[eps]] if errors.get(eps) else []
+        for method in closed_forms:
             try:
-                values[column] = _method_amplitude(
+                values[_METHODS[method].column] = _amplitude_record(
                     system, eps, method,
                     preset=preset, h_rg=h_rg, control=control,
-                )
+                )["amplitude"]
             except DomainError as exc:
                 notes.append(f"{method}: {exc}")
-        a_exact = exact.get(eps)
-        if a_exact is not None and not math.isfinite(a_exact):
-            a_exact = None
         rows.append(
             ComparisonRow(
                 eps=eps,
-                a_exact=a_exact,
-                a_ham=values["ham"],
-                a_rg=values["rg"],
-                a_irgm=values["irgm"],
-                rel_err_ham=_relative_percent(values["ham"], a_exact),
-                rel_err_irgm=_relative_percent(values["irgm"], a_exact),
+                **values,
+                rel_err_ham=_relative_percent(values.get("a_ham"), a_exact),
+                rel_err_irgm=_relative_percent(values.get("a_irgm"), a_exact),
                 error="; ".join(notes),
             )
         )
@@ -353,18 +350,16 @@ _PLOT_SAMPLES = 120  # points per piece in a plotted curve
 
 
 def _curve_series(curve: geometry.PiecewiseCurve, label: str) -> Series:
-    """Sample a piecewise curve (and its mirror) with NaN breaks between pieces."""
+    """Sample a curve's real pieces (and their mirror) with NaN breaks between."""
     xs: List[float] = []
     ys: List[float] = []
+    real = geometry.clipped(curve)
     for sign in (1.0, -1.0) if curve.symmetric else (1.0,):
-        for piece in curve.pieces:
-            real = piece.real_domain()
-            if real is None:
-                continue
+        for piece in real.pieces:
             if xs:
                 xs.append(math.nan)
                 ys.append(math.nan)
-            grid = np.linspace(*real, _PLOT_SAMPLES)
+            grid = np.linspace(piece.y_low, piece.y_high, _PLOT_SAMPLES)
             xs.extend((sign * grid).tolist())
             ys.extend((sign * piece.value(grid)).tolist())
     return Series(label, xs, ys, dashed=True)
@@ -372,6 +367,36 @@ def _curve_series(curve: geometry.PiecewiseCurve, label: str) -> Series:
 
 def _eps_label(eps: float) -> str:
     return f"{eps:g}".replace(".", "p")
+
+
+def _exact_cycle(
+    system: str, eps: float, config: IntegratorConfig, out_dir: Path, fit_tol
+):
+    """The limit cycle at ``eps`` and, given ``fit_tol``, its arc/segment fit,
+    written as a curve file; returns the cycle, the fit and the file's path."""
+    cycle = limit_cycle(OscillatorSpec(system, eps), config)
+    if fit_tol is None:
+        return cycle, None, None
+    fitted = geometry.fit_cycle(cycle, tol=fit_tol)
+    curve_path = out_dir / f"fit_{system}_eps{_eps_label(eps)}.curve"
+    geometry.write_curve(fitted, curve_path)
+    return cycle, fitted, curve_path
+
+
+def _save_portrait(
+    out_dir: Path, system: str, eps: float, cycle, overlays: List[Series]
+) -> Path:
+    """Plot the closed exact cycle under the overlays as a phase portrait."""
+    path = out_dir / f"phase_{system}_eps{_eps_label(eps)}.svg"
+    closed_y = np.append(cycle.y, cycle.y[0])
+    closed_z = np.append(cycle.z, cycle.z[0])
+    save_plot(
+        path,
+        [Series("exact cycle", closed_y, closed_z), *overlays],
+        title=f"{system} limit cycle, eps = {eps:g}",
+        xlabel="y", ylabel="dy/dt",
+    )
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -383,30 +408,17 @@ def cmd_amplitude(args) -> int:
     system = _canonical_system(args.system)
     eps = float(args.eps)
     out_dir = _resolve_output_dir(args.output_dir)
-    record: Dict[str, object] = {
+    control = TABLE_ONLY_CONTROL if args.table_only else DEFAULT_CONTROL
+    record = {
         "system": system,
         "eps": eps,
         "method": args.method,
-    }
-    if args.method == "exact":
-        config = IntegratorConfig() if args.rel_tol is None else IntegratorConfig(
-            rel_tol=args.rel_tol
-        )
-        cycle = limit_cycle(OscillatorSpec(system, eps), config)
-        record["amplitude"] = cycle.amplitude
-        record["period"] = cycle.period
-        record["cycles_used"] = cycle.cycles_used
-    else:
-        control = TABLE_ONLY_CONTROL if args.table_only else DEFAULT_CONTROL
-        record["amplitude"] = _method_amplitude(
+        **_amplitude_record(
             system, eps, args.method,
             preset=args.preset, h_rg=args.hrg, control=control,
-        )
-        if args.method == "ham":
-            record["control_h"] = control_h(eps, control)
-        if args.method == "irgm":
-            record["preset"] = args.preset or _DEFAULT_PRESET[system]
-            record["h_rg"] = args.hrg
+            config=IntegratorConfig(rel_tol=args.rel_tol),
+        ),
+    }
     print(f"amplitude = {record['amplitude']:.10g}")
     path = out_dir / f"amplitude_{system}_{args.method}_eps{_eps_label(eps)}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
@@ -431,21 +443,14 @@ def cmd_sweep(args) -> int:
         methods,
         config=config.integrator,
         jobs=args.jobs,
-        preset=config.irgm_preset if "irgm" in methods else None,
+        preset=config.irgm_preset,
         h_rg=args.hrg,
         control=config.ham_control,
     )
 
     csv_path = out_dir / f"sweep_{config.system}.csv"
-    write_comparison_csv(rows, csv_path)
     svg_path = out_dir / f"sweep_{config.system}.svg"
-    save_plot(
-        svg_path,
-        _sweep_series(rows, methods),
-        title=f"{config.system}: amplitude vs nonlinearity",
-        xlabel="eps",
-        ylabel="amplitude",
-    )
+    _save_comparison(rows, methods, config.system, csv_path, svg_path)
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
 
@@ -459,27 +464,31 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_series(rows: Sequence[ComparisonRow], methods: Sequence[str]) -> List[Series]:
+def _save_comparison(
+    rows: Sequence[ComparisonRow],
+    methods: Sequence[str],
+    system: str,
+    csv_path: Path,
+    svg_path: Path,
+) -> None:
+    """Write the comparison table and plot its amplitude columns over eps."""
+    write_comparison_csv(rows, csv_path)
     eps = [r.eps for r in rows]
-
-    def column(name: str) -> List[float]:
-        return [
-            getattr(r, name) if getattr(r, name) is not None else math.nan
-            for r in rows
-        ]
-
     series = []
-    if "exact" in methods:
-        series.append(Series("exact", eps, column("a_exact"), markers=True))
-    if "ham" in methods:
-        series.append(Series("tuned 2nd order", eps, column("a_ham"), dashed=True))
-    if "rg" in methods:
-        series.append(Series("flow balance", eps, column("a_rg"), dashed=True))
-    if "irgm" in methods:
-        series.append(Series("calibrated closed form", eps, column("a_irgm"), dashed=True))
-    if "fit" in methods:
-        series.append(Series("two-branch fit", eps, column("a_irgm"), dashed=True))
-    return series
+    for method, spec in _METHODS.items():
+        if method in methods:
+            values = [getattr(r, spec.column) for r in rows]
+            values = [math.nan if v is None else v for v in values]
+            measured = method == "exact"
+            series.append(
+                Series(spec.label, eps, values, dashed=not measured, markers=measured)
+            )
+    save_plot(
+        svg_path,
+        series,
+        title=f"{system}: amplitude vs nonlinearity",
+        xlabel="eps", ylabel="amplitude",
+    )
 
 
 def cmd_cycle(args) -> int:
@@ -487,41 +496,26 @@ def cmd_cycle(args) -> int:
     eps = float(args.eps)
     out_dir = _resolve_output_dir(args.output_dir)
     config = IntegratorConfig(n_samples=args.samples)
-    cycle = limit_cycle(OscillatorSpec(system, eps), config)
+    cycle, fitted, curve_path = _exact_cycle(system, eps, config, out_dir, args.fit)
 
-    tag = f"{system}_eps{_eps_label(eps)}"
-    csv_path = out_dir / f"cycle_{tag}.csv"
+    csv_path = out_dir / f"cycle_{system}_eps{_eps_label(eps)}.csv"
     cycle.write_csv(csv_path)
     print(f"amplitude = {cycle.amplitude:.10g}")
     print(f"period = {cycle.period:.10g}")
     print(f"wrote {csv_path}")
 
-    closed_y = np.append(cycle.y, cycle.y[0])
-    closed_z = np.append(cycle.z, cycle.z[0])
-    series = [Series("exact cycle", closed_y, closed_z)]
-
-    if args.fit is not None:
-        fitted = geometry.fit_cycle(cycle, tol=args.fit)
-        curve_path = out_dir / f"fit_{tag}.curve"
-        geometry.write_curve(fitted, curve_path)
+    overlays = []
+    if fitted is not None:
         print(f"wrote {curve_path}")
         _print_fit_summary(fitted, cycle)
-        series.append(_curve_series(fitted, f"arc/segment fit (tol {args.fit:g})"))
+        overlays.append(_curve_series(fitted, f"arc/segment fit (tol {args.fit:g})"))
 
     if args.appendix_c:
         table = _bundled_for(system, eps)
-        series.append(_curve_series(table, "published table"))
+        overlays.append(_curve_series(table, "published table"))
         _print_table_audit(table, cycle)
 
-    svg_path = out_dir / f"phase_{tag}.svg"
-    save_plot(
-        svg_path,
-        series,
-        title=f"{system} limit cycle, eps = {eps:g}",
-        xlabel="y",
-        ylabel="dy/dt",
-    )
-    print(f"wrote {svg_path}")
+    print(f"wrote {_save_portrait(out_dir, system, eps, cycle, overlays)}")
     return 0
 
 
@@ -569,10 +563,7 @@ def cmd_fit(args) -> int:
     eps = float(args.eps)
     out_dir = _resolve_output_dir(args.output_dir)
     config = IntegratorConfig(n_samples=args.samples)
-    cycle = limit_cycle(OscillatorSpec(system, eps), config)
-    fitted = geometry.fit_cycle(cycle, tol=args.tol)
-    curve_path = out_dir / f"fit_{system}_eps{_eps_label(eps)}.curve"
-    geometry.write_curve(fitted, curve_path)
+    cycle, fitted, curve_path = _exact_cycle(system, eps, config, out_dir, args.tol)
     _print_fit_summary(fitted, cycle)
     print(f"wrote {curve_path}")
     return 0
@@ -628,14 +619,12 @@ def cmd_report(args) -> int:
     ):
         rows = build_comparison(
             system, grid, methods,
-            config=config.integrator, jobs=args.jobs, control=config.ham_control,
+            config=config.integrator, jobs=args.jobs, preset=config.irgm_preset,
+            control=config.ham_control,
         )
-        write_comparison_csv(rows, out_dir / f"{prefix}_comparison.csv")
-        save_plot(
-            out_dir / f"{prefix}_amplitude.svg",
-            _sweep_series(rows, methods),
-            title=f"{system}: amplitude vs nonlinearity",
-            xlabel="eps", ylabel="amplitude",
+        _save_comparison(
+            rows, methods, system,
+            out_dir / f"{prefix}_comparison.csv", out_dir / f"{prefix}_amplitude.svg",
         )
         errs = [getattr(r, column) for r in rows if getattr(r, column) is not None]
         if errs:
@@ -646,24 +635,15 @@ def cmd_report(args) -> int:
 
     # 4. phase portraits with fits and published tables
     for system in (RAYLEIGH, VAN_DER_POL):
-        cycle = limit_cycle(
-            OscillatorSpec(system, 5.0), replace(config.integrator, n_samples=2000)
+        cycle, fitted, _ = _exact_cycle(
+            system, 5.0, replace(config.integrator, n_samples=2000), out_dir, 0.1
         )
-        fitted = geometry.fit_cycle(cycle, tol=0.1)
         table = _bundled_for(system, 5.0)
-        geometry.write_curve(fitted, out_dir / f"fit_{system}_eps5.curve")
-        closed_y = np.append(cycle.y, cycle.y[0])
-        closed_z = np.append(cycle.z, cycle.z[0])
-        save_plot(
-            out_dir / f"phase_{system}_eps5.svg",
-            [
-                Series("exact cycle", closed_y, closed_z),
-                _curve_series(fitted, "arc/segment fit"),
-                _curve_series(table, "published table"),
-            ],
-            title=f"{system} limit cycle, eps = 5",
-            xlabel="y", ylabel="dy/dt",
-        )
+        overlays = [
+            _curve_series(fitted, "arc/segment fit"),
+            _curve_series(table, "published table"),
+        ]
+        _save_portrait(out_dir, system, 5.0, cycle, overlays)
         table_report = geometry.curve_distance(table, cycle)
         for audit in geometry.domain_audit(table):
             if audit.status != "real":
@@ -741,7 +721,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("amplitude", help="one amplitude by one method")
     p.add_argument("--system", required=True, help="rayleigh or vdp")
     p.add_argument("--eps", required=True, type=float, help="nonlinearity strength")
-    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--method", required=True, choices=_METHODS)
     p.add_argument("--preset", help="calibration preset for --method irgm")
     p.add_argument(
         "--hrg", type=float, default=1.0,
@@ -752,7 +732,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="for --method ham: use the stepwise table beyond its last row "
         "instead of the linear tail",
     )
-    p.add_argument("--rel-tol", type=float, help="integrator tolerance for --method exact")
+    p.add_argument(
+        "--rel-tol", type=float, default=IntegratorConfig.rel_tol,
+        help="integrator tolerance for --method exact",
+    )
     add_output(p)
     p.set_defaults(func=cmd_amplitude)
 
@@ -810,6 +793,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:  # before any work is done
+            raise DomainError(f"jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,8 +55,6 @@ __all__ = [
     "continuity_report",
     "domain_audit",
     "clipped",
-    "reflect",
-    "radius_spread",
     "curve_distance",
     "fit_cycle",
     "write_curve",
@@ -166,7 +164,7 @@ class PiecewiseCurve:
     """Ordered, non-overlapping pieces; optionally odd-symmetric.
 
     ``symmetric=True`` declares that the other half of the underlying closed
-    curve is the image under ``(y, z) -> (-y, -z)`` (see :func:`reflect`).
+    curve is the image under ``(y, z) -> (-y, -z)``.
     Pieces are normally contiguous; clipped variants may leave holes, which
     simply shrink where the curve can be evaluated.
     """
@@ -210,24 +208,6 @@ def eval_piecewise(curve: PiecewiseCurve, y: float) -> float:
         return curve.pieces[index].value(y)
     except DomainError as exc:
         raise DomainError(f"piece {index + 1}: {exc}") from None
-
-
-def reflect(curve: PiecewiseCurve) -> PiecewiseCurve:
-    """The odd-symmetric partner: every point (y, z) becomes (-y, -z)."""
-    mirrored = []
-    for piece in reversed(curve.pieces):
-        if isinstance(piece.shape, Arc):
-            shape: Shape = Arc(
-                center=(-piece.shape.center[0], -piece.shape.center[1]),
-                radius=piece.shape.radius,
-                branch=LOWER if piece.shape.branch == UPPER else UPPER,
-            )
-        else:
-            shape = Segment(piece.shape.slope, -piece.shape.intercept)
-        mirrored.append(CurvePiece(shape, -piece.y_high, -piece.y_low))
-    return PiecewiseCurve(
-        tuple(mirrored), symmetric=curve.symmetric, name=f"{curve.name}-reflected"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +344,6 @@ def clipped(curve: PiecewiseCurve) -> PiecewiseCurve:
     return PiecewiseCurve(
         tuple(kept), symmetric=curve.symmetric, name=f"{curve.name}-clipped"
     )
-
-
-def radius_spread(curve: PiecewiseCurve) -> float:
-    """max/min ratio over the arc radii (segments ignored)."""
-    radii = [
-        p.shape.radius for p in curve.pieces if isinstance(p.shape, Arc)
-    ]
-    if not radii:
-        raise DomainError("curve has no arcs")
-    return max(radii) / min(radii)
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +602,8 @@ def _parse_piece(line: str) -> CurvePiece:
     if kind == "segment":
         shape: Shape = Segment(float(fields["slope"]), float(fields["intercept"]))
     else:
+        if "radius" in fields and "radius2" in fields:
+            raise DomainError("an arc takes radius or radius2, not both")
         if "radius" in fields:
             radius = float(fields["radius"])
         else:
@@ -673,8 +645,9 @@ def _parse_curve(text: str, where: str) -> PiecewiseCurve:
 
 def read_curve(path) -> PiecewiseCurve:
     """Read :func:`write_curve`'s format; a missing, unknown or repeated field,
-    a token without ``=`` or a ``symmetric`` other than true/false raises
-    :class:`~limitcycles.errors.DomainError` naming the file and line."""
+    an arc with both radii, a token without ``=`` or a ``symmetric`` other
+    than true/false raises :class:`~limitcycles.errors.DomainError` naming the
+    file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_curve(fh.read(), str(path))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,24 +32,6 @@ VAN_DER_POL = "vanderpol"
 LIENARD = "lienard"
 
 _KINDS = (RAYLEIGH, VAN_DER_POL, LIENARD)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point of the extended phase plane (position, velocity, time)."""
-
-    y: float
-    z: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        for name in ("y", "z", "t"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"non-finite phase coordinate {name}={v!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.y, self.z], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -132,17 +114,6 @@ class OscillatorSpec:
                 return [z, -eps * f(y, z) - g(y)]
 
         return fun
-
-
-def rhs(spec: OscillatorSpec, point: PhasePoint) -> Tuple[float, float]:
-    """Phase-plane velocity ``(y', z')`` at a single point.
-
-    >>> dy, dz = rhs(OscillatorSpec.rayleigh(1.0), PhasePoint(0.0, 1.0))
-    >>> (dy, dz)
-    (1.0, 0.6666666666666667)
-    """
-    dy, dz = spec.field_function()(point.t, (point.y, point.z))
-    return float(dy), float(dz)
 
 
 def rayleigh_vdp_link(

@@ -20,31 +20,17 @@ share it under the velocity substitution), so one implementation serves both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "RgState",
     "rg_amp_rate",
     "rg_phase_rate",
     "a_rg",
     "renormalized_solution",
 ]
-
-
-@dataclass(frozen=True)
-class RgState:
-    """Renormalized amplitude/phase pair (amplitude strictly positive)."""
-
-    R: float
-    theta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > 0):
-            raise DomainError(f"renormalized amplitude must be positive, got {self.R!r}")
 
 
 def _check_radius(R: float) -> None:

@@ -161,12 +161,39 @@ class TestSweepCommand:
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "args", [("sweep", "--system", "rayleigh", "--grid", "1"), ("report",)]
+        "args",
+        [
+            ("sweep", "--system", "rayleigh", "--grid", "1"),
+            ("report",),
+            ("sweep", "--system", "rayleigh", "--grid", "1", "--methods", "ham"),
+        ],
     )
-    def test_jobs_below_one_exits_one(self, cli, args):
-        result = cli(*args, "--jobs", "0")
+    def test_jobs_below_one_exits_one(self, cli, tmp_path, args):
+        out = tmp_path / "out"
+        out.mkdir()
+        result = cli(*args, "--jobs", "0", "--output-dir", str(out))
         assert result.returncode == 1
         assert "jobs must be at least 1" in result.stderr
+        assert list(out.iterdir()) == []  # rejected before any work
+
+    def test_irgm_takes_the_system_preset(self, cli, tmp_path):
+        # without --preset, sweep and amplitude both use the system's own one
+        result = cli(
+            "sweep", "--system", "vdp", "--grid", "1.5", "--methods", "irgm",
+        )
+        assert result.returncode == 0, result.stderr
+        with open(tmp_path / "sweep_vanderpol.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["error"] == ""
+        result = cli(
+            "amplitude", "--system", "vdp", "--eps", "1.5", "--method", "irgm",
+        )
+        assert result.returncode == 0, result.stderr
+        record = json.loads(
+            (tmp_path / "amplitude_vanderpol_irgm_eps1p5.json").read_text()
+        )
+        assert record["preset"] == "vdp-consistent"
+        assert float(row["a_irgm"]) == float(f"{record['amplitude']:.11e}")
 
     def test_irgm_and_fit_conflict(self, cli):
         result = cli(
@@ -315,6 +342,7 @@ class TestRunConfig:
         config = RunConfig()
         assert config.system == "rayleigh"
         assert config.eps_grid[0] == 0.5 and config.eps_grid[-1] == 50.0
+        assert config.irgm_preset is None  # each system's own preset
 
     def test_grid_validation(self):
         with pytest.raises(DomainError, match="strictly increasing"):
@@ -329,7 +357,43 @@ class TestRunConfig:
             RunConfig(irgm_preset="nonsense")
 
 
+CLOSED_FORMS = {
+    "ham": ("rayleigh", "amplitude_ham"),
+    "rg": ("rayleigh", "a_rg"),
+    "irgm": ("rayleigh", "amplitude_irgm"),
+    "fit": ("vanderpol", "vdp_fit"),
+}
+
+
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """Spy on the closed forms under their names in ``limitcycles.cli``, the
+    names perfbench's tracer patches; returns the list of names called."""
+    calls = []
+    for _, name in CLOSED_FORMS.values():
+        original = getattr(limitcycles.cli, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(limitcycles.cli, name, spy)
+    return calls
+
+
 class TestBuildComparison:
+    @pytest.mark.parametrize("method", sorted(CLOSED_FORMS))
+    def test_closed_forms_are_called_through_cli_names(
+        self, cli, closed_form_calls, method
+    ):
+        system, name = CLOSED_FORMS[method]
+        rows = build_comparison(system, (1.0,), (method,))
+        assert rows[0].error == ""
+        assert closed_form_calls == [name]
+        result = cli("amplitude", "--system", system, "--eps", "1", "--method", method)
+        assert result.returncode == 0, result.stderr
+        assert closed_form_calls == [name, name]
+
     def test_rows_follow_error_definition(self):
         rows = build_comparison(
             "vanderpol", (1.0, 2.0), ("fit",),

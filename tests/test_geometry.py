@@ -23,9 +23,7 @@ from limitcycles.geometry import (
     fit_cycle,
     joint_gaps,
     load_bundled,
-    radius_spread,
     read_curve,
-    reflect,
     write_curve,
 )
 from limitcycles.geometry import (
@@ -210,13 +208,6 @@ class TestEvaluation:
         with pytest.raises(DomainError, match="piece 1"):
             eval_piecewise(vdp_table, -2.04)
 
-    def test_reflection_is_odd(self, rayleigh_table):
-        mirrored = reflect(rayleigh_table)
-        for y in (-4.0, -3.7, 0.0, 2.5, 4.2):
-            assert eval_piecewise(mirrored, -y) == pytest.approx(
-                -eval_piecewise(rayleigh_table, y), abs=1e-12
-            )
-
 
 # ---------------------------------------------------------------------------
 # audits
@@ -293,15 +284,6 @@ class TestDomainAudit:
                     piece.value(y)  # must not raise
             assert all(a.status == "real" for a in domain_audit(cut))
         assert len(clipped(vdp_table).pieces) == 7  # piece 8 dropped
-
-    def test_radius_spread(self, rayleigh_table, vdp_table):
-        # the reference tables differ sharply in how circular they are
-        assert radius_spread(rayleigh_table) == pytest.approx(2.3664319, abs=1e-6)
-        assert radius_spread(vdp_table) == pytest.approx(155.8387445, abs=1e-6)
-        with pytest.raises(DomainError):
-            radius_spread(
-                PiecewiseCurve((CurvePiece(Segment(1.0, 0.0), 0.0, 1.0),))
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +486,16 @@ class TestCurveFiles:
                 "segment slope=1.0 slope=2.0 intercept=0.0 domain=(-1.0,0.0]",
                 "repeated field 'slope'",
             ),
+            (
+                "arc center_y=0.0 center_z=0.0 radius=2.0 radius2=9.0 branch=upper "
+                "domain=(-1.0,0.0]",
+                "an arc takes radius or radius2, not both",
+            ),
         ],
-        ids=["symmetric-typo", "unknown-field", "bare-token", "repeated-field"],
+        ids=[
+            "symmetric-typo", "unknown-field", "bare-token", "repeated-field",
+            "both-radii",
+        ],
     )
     def test_strict_grammar_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.curve"

@@ -10,7 +10,6 @@ from scipy.integrate import solve_ivp
 
 from limitcycles.errors import DomainError
 from limitcycles.rgflow import (
-    RgState,
     a_rg,
     renormalized_solution,
     rg_amp_rate,
@@ -39,9 +38,6 @@ def test_rate_validation():
         rg_amp_rate(-0.1, 1.0)
     with pytest.raises(DomainError):
         rg_phase_rate(-2.0, 1.0)
-    with pytest.raises(DomainError):
-        RgState(0.0, 1.0)
-    assert RgState(2.0, -0.3).theta == -0.3
 
 
 def test_a_rg_values_and_limits():
