@@ -71,7 +71,6 @@ from .oscillators import (
     RAYLEIGH,
     VAN_DER_POL,
     OscillatorSpec,
-    rayleigh_vdp_link,
 )
 from .rgflow import a_rg, renormalized_solution, rg_amp_rate, rg_phase_rate
 from .trigpoly import DeformationSolution, Poly2, TrigSeries, solve_deformation
@@ -88,7 +87,6 @@ __all__ = [
     "RAYLEIGH",
     "VAN_DER_POL",
     "OscillatorSpec",
-    "rayleigh_vdp_link",
     # integration
     "AmplitudeCurve",
     "CycleRecord",

@@ -227,10 +227,6 @@ class JointReport:
     gap: Optional[float]
     defect: str  # "", "left side non-real", "right side non-real", or both
 
-    @property
-    def is_real(self) -> bool:
-        return self.defect == ""
-
 
 def _side_value(piece: CurvePiece, y: float) -> Optional[float]:
     try:
@@ -296,34 +292,18 @@ def domain_audit(curve: PiecewiseCurve) -> List[PieceAudit]:
     audits = []
     for i, piece in enumerate(curve.pieces):
         domain = (piece.y_low, piece.y_high)
-        if isinstance(piece.shape, Segment):
-            audits.append(PieceAudit(i + 1, "real", domain, domain, "segment"))
-            continue
         real = piece.real_domain()
-        interval = piece.shape.real_interval
-        if real is None:
-            audits.append(
-                PieceAudit(
-                    i + 1,
-                    "non-real",
-                    domain,
-                    None,
-                    f"arc real only on [{interval[0]:.6g}, {interval[1]:.6g}], "
-                    "disjoint from the domain",
-                )
-            )
-        elif real[0] > piece.y_low or real[1] < piece.y_high:
-            audits.append(
-                PieceAudit(
-                    i + 1,
-                    "partially-real",
-                    domain,
-                    real,
-                    f"imaginary outside [{real[0]:.6g}, {real[1]:.6g}]",
-                )
-            )
+        if real == domain:
+            status = "real"
+            detail = "segment" if isinstance(piece.shape, Segment) else "arc"
+        elif real is None:
+            status = "non-real"
+            lo, hi = piece.shape.real_interval
+            detail = f"arc real only on [{lo:.6g}, {hi:.6g}], disjoint from the domain"
         else:
-            audits.append(PieceAudit(i + 1, "real", domain, domain, "arc"))
+            status = "partially-real"
+            detail = f"imaginary outside [{real[0]:.6g}, {real[1]:.6g}]"
+        audits.append(PieceAudit(i + 1, status, domain, real, detail))
     return audits
 
 
@@ -358,16 +338,11 @@ class DistanceReport(NamedTuple):
 
 def _sample_curve(curve: PiecewiseCurve) -> np.ndarray:
     points = []
-    for piece in curve.pieces:
-        real = piece.real_domain()
-        if real is None:
-            continue
+    for piece in clipped(curve).pieces:
         # interior samples: the half-open convention and sqrt endpoints make
         # the exact edges fragile, and they carry no extra information
-        ys = np.linspace(*real, _SCORE_SAMPLES + 2)[1:-1]
+        ys = np.linspace(piece.y_low, piece.y_high, _SCORE_SAMPLES + 2)[1:-1]
         points.append(np.column_stack([ys, piece.value(ys)]))
-    if not points:
-        raise DomainError("curve has no evaluable region")
     pts = np.vstack(points)
     if curve.symmetric:
         pts = np.vstack([pts, -pts])
@@ -517,28 +492,18 @@ def fit_cycle(cycle: CycleRecord, tol: float = 0.1) -> PiecewiseCurve:
                 f"fit needs more than {MAX_PIECES} pieces "
                 f"(covered y <= {yu[start]:.6g} of {yu[-1]:.6g})"
             )
-        # exponential probe for an upper bound on the reachable window end
-        lo = start + 1  # largest known-good end (a 2-point chord always fits)
-        hi = min(start + 2, n - 1)
+        # gallop the window end outward until a window fails, then bisect
+        # between the largest end known to fit (a 2-point chord always does)
+        # and the smallest known not to
+        lo, bad = start + 1, n
         shape = _fit_window(yu[start : lo + 1], zu[start : lo + 1])
-        while hi > lo:
-            candidate = _fit_window(yu[start : hi + 1], zu[start : hi + 1])
-            if _window_residual(candidate, yu[start : hi + 1], zu[start : hi + 1]) <= tol:
-                lo, shape = hi, candidate
-                if hi == n - 1:
-                    break
-                hi = min(start + 2 * (hi - start), n - 1)
-            else:
-                break
-        # bisect between the known-good lo and the failing hi
-        bad = hi if hi > lo else n
         while bad - lo > 1:
-            mid = (lo + bad) // 2
-            candidate = _fit_window(yu[start : mid + 1], zu[start : mid + 1])
-            if _window_residual(candidate, yu[start : mid + 1], zu[start : mid + 1]) <= tol:
-                lo, shape = mid, candidate
+            end = min(2 * lo - start, n - 1) if bad == n else (lo + bad) // 2
+            candidate = _fit_window(yu[start : end + 1], zu[start : end + 1])
+            if _window_residual(candidate, yu[start : end + 1], zu[start : end + 1]) <= tol:
+                lo, shape = end, candidate
             else:
-                bad = mid
+                bad = end
         pieces.append(CurvePiece(shape, float(yu[start]), float(yu[lo])))
         start = lo
     return PiecewiseCurve(

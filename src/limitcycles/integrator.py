@@ -33,7 +33,6 @@ aborting the sweep.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -146,15 +145,6 @@ class AmplitudeCurve:
     amplitude: np.ndarray
     errors: Tuple[str, ...]
 
-    def write_csv(self, path) -> None:
-        """Write ``eps,amplitude,error`` rows; an error holding a comma is quoted."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(("eps", "amplitude", "error"))
-            for e, a, msg in zip(self.eps, self.amplitude, self.errors):
-                a_text = f"{a:.11e}" if math.isfinite(a) else ""
-                out.writerow((f"{e:.11e}", a_text, msg))
-
 
 def solve_ivp(*args, **kwargs):
     """:func:`scipy.integrate.solve_ivp`, imported at the first call."""
@@ -185,19 +175,14 @@ def integrate(
     *,
     seed: Optional[Sequence[float]] = None,
     config: Optional[IntegratorConfig] = None,
-    n_samples: Optional[int] = None,
 ) -> Trajectory:
-    """Integrate from ``seed`` over ``[0, t_final]``.
-
-    With ``n_samples`` the output is uniform in time (via the dense
-    interpolant); otherwise the solver's own accepted steps are returned.
-    """
+    """Integrate from ``seed`` over ``[0, t_final]``; the output holds the
+    solver's own accepted steps."""
     cfg = config or IntegratorConfig()
     if t_final <= 0:
         raise DomainError("t_final must be positive")
     state = np.asarray(seed if seed is not None else cfg.seed, dtype=float)
-    t_eval = np.linspace(0.0, t_final, n_samples) if n_samples else None
-    sol = _solve(spec.field_function(), (0.0, t_final), state, cfg, t_eval=t_eval)
+    sol = _solve(spec.field_function(), (0.0, t_final), state, cfg)
     return Trajectory(sol.t, sol.y[0], sol.y[1])
 
 

@@ -68,7 +68,11 @@ def amplitude_irgm(eps: float, h_rg: float, constant: float) -> float:
     """Amplitude ``2 / sqrt(1 - exp(-eps**h_rg - C))`` (always > 2)."""
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be positive, got {eps!r}")
-    decay = math.exp(-(eps**h_rg) - constant)
+    try:
+        scaled = eps**h_rg
+    except OverflowError:
+        raise DomainError(f"eps**h_rg overflows at eps={eps!r}, h_rg={h_rg!r}") from None
+    decay = math.exp(-scaled - constant)
     if decay >= 1.0:
         raise DomainError(
             f"exp(-eps**h - C) = {decay!r} >= 1: no real amplitude above 2"
@@ -154,8 +158,9 @@ class IrgmCalibration:
         """|stored constant - recomputed constant|."""
         return abs(self.constant - self.recomputed_constant())
 
-    def is_consistent(self, tol: float = 1e-3) -> bool:
-        return self.consistency_gap() <= tol
+    def is_consistent(self) -> bool:
+        """Whether the stored constant matches its boundary condition to 1e-3."""
+        return self.consistency_gap() <= 1e-3
 
 
 def _presets() -> Dict[str, IrgmCalibration]:

@@ -13,8 +13,8 @@ and a restoring force ``g``.  Two named members:
 
 Differentiating the Rayleigh equation and substituting x = y' turns it into
 the Van der Pol equation, so the two limit cycles are images of each other
-under (y, z) -> (z, z').  :func:`rayleigh_vdp_link` verifies that mapping
-numerically on sampled trajectories via finite differences.
+under (y, z) -> (z, z'): they share their period, and the Van der Pol
+amplitude is the largest |z| on the Rayleigh cycle.
 """
 
 from __future__ import annotations
@@ -78,17 +78,6 @@ class OscillatorSpec:
         """General system ``y'' + eps*damping(y, y') + restoring(y) = 0``."""
         return cls(LIENARD, float(epsilon), damping, restoring)
 
-    # -- serialization (named kinds only) ------------------------------------
-
-    def to_dict(self) -> dict:
-        if self.kind == LIENARD:
-            raise DomainError("custom oscillators with callables are not serializable")
-        return {"kind": self.kind, "epsilon": self.epsilon}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OscillatorSpec":
-        return cls(str(data["kind"]), float(data["epsilon"]))
-
     # -- vector field ----------------------------------------------------------
 
     def field_function(self) -> Callable[[float, np.ndarray], list]:
@@ -114,29 +103,3 @@ class OscillatorSpec:
                 return [z, -eps * f(y, z) - g(y)]
 
         return fun
-
-
-def rayleigh_vdp_link(
-    epsilon: float, t: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """Residual of the velocity-substitution link between the two systems.
-
-    Given uniform samples ``z(t) = y'(t)`` of a Rayleigh trajectory, the
-    substitution ``x = y'`` should satisfy the Van der Pol equation
-    ``x'' + eps*x'*(x^2 - 1) + x = 0``.  This evaluates that equation with
-    second-order central differences for ``x'`` and ``x''`` and returns the
-    residual at the interior sample points.  For an exact trajectory the
-    residual is pure finite-difference error, O(dt^2).
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(z, dtype=float)
-    if t.ndim != 1 or t.shape != x.shape or t.size < 3:
-        raise DomainError("need at least three matching 1-d samples")
-    steps = np.diff(t)
-    dt = steps.mean()
-    if dt <= 0 or not np.allclose(steps, dt, rtol=1e-8, atol=1e-12):
-        raise DomainError("link residual requires uniform time samples")
-    xdot = (x[2:] - x[:-2]) / (2.0 * dt)
-    xddot = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / (dt * dt)
-    xin = x[1:-1]
-    return xddot + epsilon * xdot * (xin * xin - 1.0) + xin

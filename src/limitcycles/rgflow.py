@@ -41,8 +41,12 @@ def _check_radius(R: float) -> None:
 def rg_amp_rate(R: float, eps: float) -> float:
     """Truncated amplitude flow rate dR/dt."""
     _check_radius(R)
+    try:
+        cubic = eps**3
+    except OverflowError:
+        raise DomainError(f"eps**3 overflows at eps={eps!r}") from None
     return 0.5 * R * (1.0 - R * R / 4.0) * eps + (
-        R**5 * (11.0 - 1.625 * R * R) * eps**3 / 1024.0
+        R**5 * (11.0 - 1.625 * R * R) * cubic / 1024.0
     )
 
 
@@ -55,10 +59,10 @@ def rg_phase_rate(R: float, eps: float) -> float:
 def a_rg(eps: float) -> float:
     """Long-time flow amplitude: the attracting root of :func:`rg_amp_rate`.
 
-    The root always sits in (2, 4): at R=2 only the positive cubic term
-    survives, while at R=4 both terms are negative.  Brent's method on that
-    bracket is therefore guaranteed; if a caller-supplied truncation ever
-    breaks the sign pattern a bracket scan over (0, 4] runs before giving up.
+    The root always sits in [2, 4): at R=2 only the positive cubic term
+    survives, while at R=4 both terms are negative, so Brent's method on that
+    bracket is guaranteed.  Where ``eps**3`` underflows (eps below about
+    1e-103) the rate at R=2 is exactly zero and the root is 2.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be positive, got {eps!r}")
@@ -67,17 +71,7 @@ def a_rg(eps: float) -> float:
     def rate(r: float) -> float:
         return rg_amp_rate(r, eps)
 
-    lo, hi = 2.0, 4.0
-    if rate(lo) <= 0 or rate(hi) >= 0:  # pragma: no cover - shape guard
-        grid = np.linspace(1e-6, 4.0, 400)
-        values = [rate(r) for r in grid]
-        for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
-            if fa > 0 >= fb:
-                lo, hi = a, b
-                break
-        else:
-            raise DomainError(f"no flow root bracketed in (0, 4] for eps={eps}")
-    return float(brentq(rate, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    return float(brentq(rate, 2.0, 4.0, xtol=1e-14, rtol=8.9e-16))
 
 
 def renormalized_solution(R: float, theta: float, t, eps: float):

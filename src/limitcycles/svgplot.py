@@ -19,6 +19,8 @@ __all__ = ["Series", "line_plot", "save_plot"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 66
 _MARGIN_RIGHT = 18
 _MARGIN_TOP = 44
@@ -32,7 +34,6 @@ class Series:
     label: str
     x: Sequence[float]
     y: Sequence[float]
-    color: str = ""
     dashed: bool = False
     markers: bool = False
 
@@ -52,8 +53,9 @@ def _finite_bounds(values) -> Tuple[float, float]:
     return min(finite), max(finite)
 
 
-def _nice_step(span: float, target: int = 5) -> float:
-    raw = span / max(target, 1)
+def _nice_step(span: float) -> float:
+    """The 1-2-5 step that splits ``span`` into about five ticks."""
+    raw = span / 5
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * power:
@@ -96,8 +98,6 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render the series into one SVG document string."""
     if not series_list:
@@ -116,8 +116,8 @@ def line_plot(
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -128,8 +128,8 @@ def line_plot(
     out: List[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
 
     # embedded numeric data for downstream parsing
@@ -140,7 +140,7 @@ def line_plot(
         out.append("y: " + " ".join(f"{v:.11e}" for v in s.y))
     out.append("-->")
 
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
 
     # gridlines and ticks
     for tick in _ticks(x_lo, x_hi):
@@ -172,7 +172,7 @@ def line_plot(
 
     # data
     for i, s in enumerate(series_list):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         stroke: List[str] = []
         strokes: List[List[str]] = []
@@ -209,7 +209,7 @@ def line_plot(
         f'height="{18 * len(series_list) + 8}" fill="white" stroke="#999999"/>'
     )
     for i, s in enumerate(series_list):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         y = legend_y + 18 * i + 6
         out.append(
@@ -224,12 +224,12 @@ def line_plot(
     # labels
     if title:
         out.append(
-            f'<text x="{width / 2:.0f}" y="24" font-size="15" '
+            f'<text x="{_WIDTH / 2:.0f}" y="24" font-size="15" '
             f'font-family="sans-serif" text-anchor="middle">{_escape(title)}</text>'
         )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{height - 12}" '
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_HEIGHT - 12}" '
             f'font-size="13" font-family="sans-serif" text-anchor="middle">'
             f"{_escape(xlabel)}</text>"
         )
@@ -246,5 +246,7 @@ def line_plot(
 
 
 def save_plot(path, series_list: Sequence[Series], **kwargs) -> None:
+    """Render, then write: a plot that fails to render leaves no file."""
+    svg = line_plot(series_list, **kwargs)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(line_plot(series_list, **kwargs))
+        fh.write(svg)

@@ -40,16 +40,16 @@ from .errors import DomainError
 #: silently truncating.
 MAX_HARMONIC = 64
 
-RationalLike = Union[int, Fraction, Tuple[int, int], str]
+RationalLike = Union[int, Fraction, Tuple[int, int]]
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, ``(p, q)`` pairs and strings like ``"1/24"`` to Fraction."""
+    """Coerce ints and ``(p, q)`` pairs to Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, tuple):
         return Fraction(value[0], value[1])
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not a rational value: {value!r}")
 

@@ -124,6 +124,18 @@ class TestAmplitudeCommand:
         assert result.returncode == 1
         assert "unknown system" in result.stderr
 
+    @pytest.mark.parametrize(
+        "method, eps, power",
+        [("rg", "1e120", "eps**3"), ("irgm", "1e200", "eps**h_rg")],
+    )
+    def test_overflow_exits_one(self, cli, method, eps, power):
+        result = cli(
+            "amplitude", "--system", "rayleigh", "--eps", eps,
+            "--method", method, "--hrg", "2",
+        )
+        assert result.returncode == 1
+        assert f"{power} overflows at eps={float(eps)!r}" in result.stderr
+
 
 class TestSweepCommand:
     def test_csv_and_svg_artifacts(self, cli, tmp_path):
@@ -194,6 +206,28 @@ class TestSweepCommand:
         )
         assert record["preset"] == "vdp-consistent"
         assert float(row["a_irgm"]) == float(f"{record['amplitude']:.11e}")
+
+    def test_overflow_is_recorded_in_its_row(self, cli, tmp_path):
+        result = cli(
+            "sweep", "--system", "rayleigh", "--grid", "1,1e120", "--methods", "rg",
+        )
+        assert result.returncode == 0, result.stderr
+        with open(tmp_path / "sweep_rayleigh.csv", newline="") as fh:
+            ok, overflow = csv.DictReader(fh)
+        assert ok["error"] == "" and float(ok["a_rg"]) > 2.0
+        assert overflow["a_rg"] == ""
+        assert overflow["error"] == "rg: eps**3 overflows at eps=1e+120"
+
+    def test_failed_plot_leaves_no_svg(self, cli, tmp_path):
+        # every row fails, so there is nothing to plot
+        result = cli(
+            "sweep", "--system", "rayleigh", "--grid", "1,2",
+            "--methods", "irgm", "--preset", "vdp-paper",
+        )
+        assert result.returncode == 1
+        assert "no finite data to plot" in result.stderr
+        assert (tmp_path / "sweep_rayleigh.csv").exists()
+        assert not (tmp_path / "sweep_rayleigh.svg").exists()
 
     def test_irgm_and_fit_conflict(self, cli):
         result = cli(

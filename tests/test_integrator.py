@@ -12,9 +12,13 @@ from scipy.integrate import solve_ivp
 
 import limitcycles.integrator as integrator
 from limitcycles._rk45 import _PlanarRK45
+from limitcycles.cli import (
+    ComparisonRow,
+    build_comparison,
+    write_comparison_csv,
+)
 from limitcycles.errors import ConvergenceError, DomainError
 from limitcycles.integrator import (
-    AmplitudeCurve,
     IntegratorConfig,
     amplitude_sweep,
     integrate,
@@ -43,9 +47,11 @@ def test_config_validation():
 
 def test_integrate_shapes_and_validation():
     spec = OscillatorSpec.rayleigh(1.0)
-    traj = integrate(spec, 10.0, n_samples=256)
-    assert traj.t.shape == traj.y.shape == traj.z.shape == (256,)
-    assert np.allclose(np.diff(traj.t), traj.t[1] - traj.t[0])
+    traj = integrate(spec, 10.0)
+    assert traj.t.shape == traj.y.shape == traj.z.shape
+    assert traj.t[0] == 0.0 and traj.t[-1] == 10.0
+    assert np.all(np.diff(traj.t) > 0)
+    assert (traj.y[0], traj.z[0]) == (2.0, 0.0)
     with pytest.raises(DomainError):
         integrate(spec, 0.0)
 
@@ -70,6 +76,46 @@ def test_rayleigh_amplitude_anchor():
 def test_van_der_pol_amplitude_anchor():
     rec = limit_cycle(OscillatorSpec.van_der_pol(1.0))
     assert rec.amplitude == pytest.approx(2.0086, abs=2e-3)
+
+
+# -- small eps: the van der Pol series of Andersen & Geer (SIAM J. Appl. Math.
+# 42, 1982), an oracle that owes nothing to this integrator.  Its next terms
+# are about 1.83e-5 eps^6 in the amplitude and -3.06e-3 eps^6 in the period,
+# so at the noise-floor config both remainders scale as eps^6.
+
+NOISE_FLOOR = IntegratorConfig(
+    cycle_tol=1e-10, transient_time=400.0, rel_tol=1e-12, abs_tol=1e-14
+)
+
+
+def _series_a4_t4(eps: float):
+    a4 = 2.0 + eps**2 / 96.0 - 1033.0 * eps**4 / 552960.0
+    t4 = 2.0 * math.pi * (1.0 + eps**2 / 16.0 - 5.0 * eps**4 / 3072.0)
+    return a4, t4
+
+
+@pytest.fixture(scope="module")
+def small_eps_cycles():
+    return {
+        eps: limit_cycle(OscillatorSpec.van_der_pol(eps), NOISE_FLOOR)
+        for eps in (0.05, 0.1, 0.2)
+    }
+
+
+def test_small_eps_amplitude_matches_series(small_eps_cycles):
+    for eps in (0.05, 0.1):  # measured: 4.6e-12 and 1.6e-11
+        a4, _ = _series_a4_t4(eps)
+        assert abs(small_eps_cycles[eps].amplitude - a4) <= 1e-10, eps
+
+
+def test_small_eps_remainders_scale_as_eps6(small_eps_cycles):
+    for eps, cycle in small_eps_cycles.items():
+        a4, t4 = _series_a4_t4(eps)
+        # measured: -3.058e-3, -3.054e-3, -3.033e-3
+        assert -3.2e-3 <= (cycle.period - t4) / eps**6 <= -2.9e-3, eps
+        if eps >= 0.1:  # at 0.05 the amplitude remainder is reading noise
+            # measured: 1.59e-5 and 2.08e-5
+            assert 1.2e-5 <= (cycle.amplitude - a4) / eps**6 <= 2.4e-5, eps
 
 
 def test_seed_independence():
@@ -164,7 +210,7 @@ def test_sweep_keeps_any_point_failure_in_its_slot(monkeypatch):
     )
 
 
-def test_sweep_serial_and_parallel_agree(tmp_path):
+def test_sweep_serial_and_parallel_agree():
     eps = [0.5, 1.0]
     serial = amplitude_sweep("rayleigh", eps)
     parallel = amplitude_sweep("rayleigh", eps, jobs=2)
@@ -172,12 +218,6 @@ def test_sweep_serial_and_parallel_agree(tmp_path):
     np.testing.assert_allclose(serial.amplitude, parallel.amplitude, rtol=0, atol=0)
     with pytest.raises(DomainError):
         amplitude_sweep("lienard", eps)
-    # CSV round-trip sanity
-    path = tmp_path / "sweep.csv"
-    serial.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "eps,amplitude,error"
-    assert len(lines) == 3
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -187,27 +227,30 @@ def test_sweep_rejects_fewer_than_one_job(jobs):
 
 
 def test_sweep_csv_quotes_an_error_with_a_comma(tmp_path):
+    # a sweep's failure messages reach its CSV through the comparison table
     cfg = IntegratorConfig(transient_time=0.0, max_cycles=2, cycle_tol=1e-16)
     curve = amplitude_sweep("rayleigh", [1.0, 2.0], cfg)
     assert all("," in msg for msg in curve.errors)
     path = tmp_path / "sweep.csv"
-    curve.write_csv(path)
+    rows = build_comparison("rayleigh", [1.0, 2.0], ("exact",), config=cfg)
+    write_comparison_csv(rows, path)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert [len(row) for row in rows] == [3, 3, 3]
-    assert tuple(row[2] for row in rows[1:]) == curve.errors
+        parsed = list(csv.reader(fh))
+    assert [len(row) for row in parsed] == [8, 8, 8]
+    assert tuple(row[-1] for row in parsed[1:]) == curve.errors
 
 
 def test_sweep_csv_rows_without_error_are_plain(tmp_path):
-    curve = AmplitudeCurve(
-        "rayleigh", np.array([1.0, 2.0]), np.array([2.5, math.nan]), ("", "x")
-    )
+    rows = [
+        ComparisonRow(eps=1.0, a_exact=2.5),
+        ComparisonRow(eps=2.0, a_exact=math.nan, error="x"),
+    ]
     path = tmp_path / "sweep.csv"
-    curve.write_csv(path)
+    write_comparison_csv(rows, path)
     assert path.read_bytes() == (
-        b"eps,amplitude,error\n"
-        b"1.00000000000e+00,2.50000000000e+00,\n"
-        b"2.00000000000e+00,,x\n"
+        b"eps,a_exact,a_ham,a_rg,a_irgm,rel_err_ham,rel_err_irgm,error\n"
+        b"1.00000000000e+00,2.50000000000e+00,,,,,,\n"
+        b"2.00000000000e+00,,,,,,,x\n"
     )
 
 

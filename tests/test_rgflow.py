@@ -42,6 +42,8 @@ def test_rate_validation():
 
 def test_a_rg_values_and_limits():
     assert a_rg(1e-6) == pytest.approx(2.0, abs=1e-9)
+    for tiny in (1e-110, 1e-300, 5e-324):  # eps**3 underflows: rate(2) == 0
+        assert a_rg(tiny) == 2.0
     assert a_rg(1.0) == pytest.approx(2.1407851, abs=1e-6)
     assert a_rg(5.0) == pytest.approx(2.5654348, abs=1e-6)
     for eps in np.linspace(0.05, 5.0, 25):
