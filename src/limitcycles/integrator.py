@@ -1,22 +1,18 @@
 """Limit-cycle extraction by adaptive Runge-Kutta integration.
 
-The workhorse is :func:`scipy.integrate.solve_ivp` with the Dormand-Prince
-embedded 4(5) pair (``method="RK45"``), dense local interpolants, and event
-location.  Cycle structure comes from the Poincare section ``z = y' = 0``:
-the extrema of ``y`` sit exactly on that section, so the event refinement
-gives amplitude readings without any extra peak interpolation.
+Cycle structure comes from the Poincare section ``z = y' = 0``: the extrema
+of ``y`` sit exactly on that section, so event location gives amplitude
+readings without any extra peak interpolation.
 
-``solve_ivp`` drives every integration (events, ``t_eval``, ``nfev``), but
-the RK45 steps themselves run in :class:`limitcycles._rk45._PlanarRK45`: the
-same Dormand-Prince pair and controller, done in Python floats on the
-``(y, z)`` pair.  On a two-element state, scipy's generic numpy stepping
-costs several times the right-hand side; the float stepper takes the same
-steps with the same evaluation count at about a third of the time.  Any
-other ``method`` name goes to scipy as given.
-
-Importing this module loads numpy alone: scipy's ``solve_ivp`` and the
-stepper's module load at the first integration, the worker pool only when
-``jobs > 1``.
+:func:`solve_ivp` runs ``method="RK45"`` as one loop over Python floats on the
+``(y, z)`` pair.  It keeps scipy's RK45 (Dormand-Prince 5(4)): the tableau,
+initial step, error norm and step-size control, so it takes scipy's steps
+with scipy's ``nfev``.  On each accepted step it applies scipy's event sign
+test, finds each crossing with :func:`brentq` (a float port of scipy's) on
+the step's quartic interpolant, and fills in the ``t_eval`` samples inside
+the step; a sample at the step's end takes the step's own state.  Any other
+``method`` goes to scipy as given, the only path that imports it; the worker
+pool loads only when ``jobs > 1``.
 
 :func:`limit_cycle` integrates past a transient of ``max(50, 2*epsilon)``
 time units (about one relaxation period at large epsilon, where the cycle
@@ -35,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,8 +105,9 @@ class CycleRecord:
     from the penultimate maximum of ``y`` (``t = 0``) to the last one
     (``t = period``), so ``t`` increases but is not evenly spaced.
     ``history`` holds the per-cycle amplitude readings that led to
-    convergence; ``state_gap`` is the max-norm mismatch between the start and
-    end states of the sampled period (a closure diagnostic, not a gate).
+    convergence; ``state_gap`` is the max-norm mismatch between the start state
+    and the last solver step's end state, whatever ``n_samples`` is (a closure
+    diagnostic, not a gate).
     """
 
     kind: str
@@ -146,24 +144,196 @@ class AmplitudeCurve:
     errors: Tuple[str, ...]
 
 
-def solve_ivp(*args, **kwargs):
-    """:func:`scipy.integrate.solve_ivp`, imported at the first call."""
-    from scipy import integrate
-    return integrate.solve_ivp(*args, **kwargs)
+# scipy's RK45 as the same floats (Dormand & Prince 1980; P: Shampine 1986)
+_C = (0, 1/5, 3/10, 4/5, 8/9, 1)
+_A = (
+    (0, 0, 0, 0, 0), (1/5, 0, 0, 0, 0), (3/40, 9/40, 0, 0, 0), (44/45, -56/15, 32/9, 0, 0),
+    (19372/6561, -25360/2187, 64448/6561, -212/729, 0),
+    (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656),
+)
+_B = (35/384, 0, 500/1113, 125/192, -2187/6784, 11/84)
+_E = (-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_P = (
+    (1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+    (0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+    (0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632),
+    (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+    (0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+)
+_EPS = 2.0**-52
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` in ``[xa, xb]`` by Brent's method, step for step as
+    scipy's ``brentq`` (its C source, 100 iterations) takes it, in floats."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation takes a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError("brentq did not converge in 100 iterations")
+
+
+def _dense_output(t_old: float, h: float, y_old: float, z_old: float, ky, kz):
+    """RK45's quartic interpolant over one step, ``s -> (y, z)``."""
+    (qy0, qy1, qy2, qy3), (qz0, qz1, qz2, qz3) = (
+        [sum(k * p[j] for k, p in zip(ks, _P)) for j in range(4)] for ks in (ky, kz))
+
+    def sol(s: float):
+        x = (s - t_old) / h
+        x2 = x * x
+        x3, x4 = x2 * x, x2 * x * x
+        return (h * (qy0 * x + qy1 * x2 + qy2 * x3 + qy3 * x4) + y_old,
+                h * (qz0 * x + qz1 * x2 + qz2 * x3 + qz3 * x4) + z_old)
+
+    return sol
+
+
+def _rms(a: float, b: float) -> float:
+    """RMS norm of ``(a, b)``, written as scipy's ``norm``: ``|x| / sqrt(2)``."""
+    return math.sqrt(a * a + b * b) / 2**0.5
+
+
+def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None, rtol=1e-3,
+              atol=1e-6):
+    """Integrate ``fun(t, (y, z))`` over ``t_span``.  ``method="RK45"`` runs the
+    float loop of the module docstring: its events never terminate, and
+    ``t_eval`` lies in ``t_span`` in integration order.  Any other method goes
+    to :func:`scipy.integrate.solve_ivp` unchanged."""
+    if method != "RK45":
+        from scipy import integrate
+        return integrate.solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval,
+                                   events=events, rtol=rtol, atol=atol)
+    t, tf = map(float, t_span)
+    y, z = map(float, y0)
+    rtol, atol = max(float(rtol), 100 * _EPS), float(atol)  # scipy's rtol floor
+    direction = -1.0 if tf < t else 1.0
+    _, c2, c3, c4, c5, c6 = _C
+    _, (a21, *_), (a31, a32, *_), (a41, a42, a43, *_), (a51, a52, a53, a54, _), (
+        a61, a62, a63, a64, a65) = _A
+    b1, b2, b3, b4, b5, b6 = _B
+    e1, e2, e3, e4, e5, e6, e7 = _E
+
+    # the initial step as scipy's select_initial_step picks it (error order 4)
+    k1y, k1z = fun(t, (y, z))
+    nfev, span, h_abs = 1, abs(tf - t), 0.0
+    if span > 0:
+        sy, sz = atol + abs(y) * rtol, atol + abs(z) * rtol
+        d0, d1 = _rms(y / sy, z / sz), _rms(k1y / sy, k1z / sz)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+        fy, fz = fun(t + h0 * direction, (y + h0 * direction * k1y, z + h0 * direction * k1z))
+        nfev += 1
+        d2 = _rms((fy - k1y) / sy, (fz - k1z) / sz) / h0
+        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+        h_abs = min(100 * h0, h1, span)
+
+    samples = [] if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
+    ts, ys, zs = ([t], [y], [z]) if t_eval is None else ([], [], [])
+    events = list(events or ())
+    g = [event(t, (y, z)) for event in events]
+    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    message = None  # scipy's status: None while running
+    while message is None and direction * (t - tf) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:  # attempt steps until one passes the RMS error test
+            if h_abs < min_step:
+                message = "Required step size is less than spacing between numbers."
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = abs(h)
+            k2y, k2z = fun(t + c2 * h, (y + a21 * k1y * h, z + a21 * k1z * h))
+            k3y, k3z = fun(t + c3 * h, (y + (a31 * k1y + a32 * k2y) * h,
+                                        z + (a31 * k1z + a32 * k2z) * h))
+            k4y, k4z = fun(t + c4 * h, (y + (a41 * k1y + a42 * k2y + a43 * k3y) * h,
+                                        z + (a41 * k1z + a42 * k2z + a43 * k3z) * h))
+            k5y, k5z = fun(t + c5 * h, (
+                y + (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y) * h,
+                z + (a51 * k1z + a52 * k2z + a53 * k3z + a54 * k4z) * h))
+            k6y, k6z = fun(t + c6 * h, (
+                y + (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h,
+                z + (a61 * k1z + a62 * k2z + a63 * k3z + a64 * k4z + a65 * k5z) * h))
+            y_new = y + h * (b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
+            z_new = z + h * (b1 * k1z + b2 * k2z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z)
+            k7y, k7z = fun(t + h, (y_new, z_new))
+            nfev += 6
+            err_y = (e1 * k1y + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y
+                     + e7 * k7y) * h / (atol + max(abs(y), abs(y_new)) * rtol)
+            err_z = (e1 * k1z + e2 * k2z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z
+                     + e7 * k7z) * h / (atol + max(abs(z), abs(z_new)) * rtol)
+            # RMS norm; an ulp's change in this rounding moves cycle samples by ~1e-8
+            error_norm = math.sqrt(0.5 * (err_y * err_y + err_z * err_z))
+            if error_norm < 1:
+                factor = 10.0 if error_norm == 0 else min(10.0, 0.9 * error_norm**-0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * error_norm**-0.2), True
+        if message:
+            break
+
+        t_old, y_old, z_old, t, y, z = t, y, z, t_new, y_new, z_new
+        stages = (k1y, k2y, k3y, k4y, k5y, k6y, k7y), (k1z, k2z, k3z, k4z, k5z, k6z, k7z)
+        k1y, k1z, sol = k7y, k7z, None
+        for i, event in enumerate(events):  # scipy's find_active_events, per event
+            g_old, g[i] = g[i], event(t, (y, z))
+            up, down = g_old <= 0 <= g[i], g_old >= 0 >= g[i]
+            sense = getattr(event, "direction", 0)
+            if (up and sense >= 0) or (down and sense <= 0):
+                sol = sol or _dense_output(t_old, h, y_old, z_old, *stages)
+                root = brentq(lambda s: event(s, sol(s)), t_old, t, 4 * _EPS, 4 * _EPS)
+                t_events[i].append(root)
+                y_events[i].append(sol(root))
+        if t_eval is None:
+            ts.append(t), ys.append(y), zs.append(z)
+        while len(ts) < len(samples) and direction * (samples[len(ts)] - t) <= 0:
+            s = samples[len(ts)]
+            sol = sol or _dense_output(t_old, h, y_old, z_old, *stages)
+            s_y, s_z = (y, z) if s == t else sol(s)  # the step's end takes its own state
+            ts.append(s), ys.append(s_y), zs.append(s_z)
+
+    finished = "The solver successfully reached the end of the integration interval."
+    return SimpleNamespace(  # the fields of scipy's OdeResult read here
+        t=np.array(ts), y=np.array((ys, zs)), t_events=[np.array(te) for te in t_events],
+        y_events=[np.array(ye) for ye in y_events], nfev=nfev, success=message is None,
+        message=message or finished)
 
 
 def _solve(fun, t_span, state, config: IntegratorConfig, **kw):
-    from ._rk45 import _PlanarRK45
-    method = _PlanarRK45 if config.method == "RK45" else config.method
-    sol = solve_ivp(
-        fun,
-        t_span,
-        state,
-        method=method,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        **kw,
-    )
+    sol = solve_ivp(fun, t_span, state, method=config.method,
+                    rtol=config.rel_tol, atol=config.abs_tol, **kw)
     if not sol.success:
         raise ConvergenceError(f"integration failed: {sol.message}")
     return sol
@@ -232,9 +402,7 @@ def limit_cycle(
 
     while len(amps) < cfg.max_cycles:
         chunk = max(25.0, 3.0 * period_est)
-        sol = _solve(
-            fun, (t_now, t_now + chunk), state, cfg, events=[up, down], dense_output=False
-        )
+        sol = _solve(fun, (t_now, t_now + chunk), state, cfg, events=[up, down])
         t_up, t_dn = sol.t_events
         s_up, s_dn = sol.y_events
         room = cfg.max_cycles - len(amps)
@@ -259,9 +427,7 @@ def limit_cycle(
         if len(amps) >= 2 and abs(amps[-1] - amps[-2]) < cfg.cycle_tol:
             converged = True
             break
-        if not (len(t_up) or len(t_dn)) and t_now > t_trans + 100 * max(
-            period_est, 1.0
-        ):
+        if not (len(t_up) or len(t_dn)) and t_now > t_trans + 100 * max(period_est, 1.0):
             raise ConvergenceError(
                 f"no section crossings found for {spec.kind} eps={spec.epsilon}"
             )
@@ -295,17 +461,9 @@ def limit_cycle(
 
     amplitude = max(float(np.max(np.abs(y))), amps[-1], up_abs[-1] if up_abs else 0.0)
     return CycleRecord(
-        kind=spec.kind,
-        epsilon=spec.epsilon,
-        amplitude=amplitude,
-        period=period,
-        t=sol.t,
-        y=y,
-        z=z,
-        converged=converged,
-        cycles_used=len(amps),
-        history=tuple(amps),
-        state_gap=state_gap,
+        kind=spec.kind, epsilon=spec.epsilon, amplitude=amplitude, period=period,
+        t=sol.t, y=y, z=z, converged=converged, cycles_used=len(amps),
+        history=tuple(amps), state_gap=state_gap,
     )
 
 

@@ -65,7 +65,8 @@ def calibrate_constant(a_ref: float, eps_ref: float = 1.0) -> float:
 
 
 def amplitude_irgm(eps: float, h_rg: float, constant: float) -> float:
-    """Amplitude ``2 / sqrt(1 - exp(-eps**h_rg - C))`` (always > 2)."""
+    """Amplitude ``2 / sqrt(1 - exp(-eps**h_rg - C))`` (always >= 2; a float
+    cannot hold an excess below about 1e-16)."""
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be positive, got {eps!r}")
     try:

@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .integrator import brentq
 
 __all__ = [
     "rg_amp_rate",
@@ -66,12 +67,7 @@ def a_rg(eps: float) -> float:
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be positive, got {eps!r}")
-    from scipy.optimize import brentq
-
-    def rate(r: float) -> float:
-        return rg_amp_rate(r, eps)
-
-    return float(brentq(rate, 2.0, 4.0, xtol=1e-14, rtol=8.9e-16))
+    return brentq(lambda r: rg_amp_rate(r, eps), 2.0, 4.0, xtol=1e-14, rtol=8.9e-16)
 
 
 def renormalized_solution(R: float, theta: float, t, eps: float):

@@ -468,14 +468,19 @@ class TestBuildComparison:
 
 
 # A fresh interpreter serves every closed form, the bundled tables, curve
-# files and an ``amplitude --method ham`` call with numpy alone; scipy loads
-# at the first integration.
+# files, an ``amplitude --method ham`` call, RK45 cycles and sweeps and the
+# slow-flow root with numpy alone.  Only a score, a fit or a non-RK45 method
+# loads scipy, and each of them loads modules the calls before did not.
 COLD_START = """
 import sys
 import limitcycles, limitcycles.cli
 from limitcycles import geometry, ham, irgm
-from limitcycles.integrator import limit_cycle
+from limitcycles.integrator import IntegratorConfig, amplitude_sweep, limit_cycle
 from limitcycles.oscillators import OscillatorSpec
+from limitcycles.rgflow import a_rg
+
+def scipy_modules():
+    return {m for m in sys.modules if m.partition(".")[0] == "scipy"}
 
 tables = [geometry.load_bundled(name) for name in geometry.BUNDLED_CURVES]
 ham.amplitude_ham(1.0)
@@ -486,15 +491,31 @@ geometry.write_curve(tables[0], "table.curve")
 geometry.read_curve("table.curve")
 argv = ["amplitude", "--system", "rayleigh", "--eps", "1", "--method", "ham"]
 assert limitcycles.cli.main(argv) == 0
-print("scipy:", sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
-print("amplitude:", repr(limit_cycle(OscillatorSpec.rayleigh(1.0)).amplitude))
+cycle = limit_cycle(OscillatorSpec.rayleigh(5.0))
+amplitude_sweep("vanderpol", [0.5, 2.0])
+a_rg(5.0)
+print("scipy:", sorted(scipy_modules()))
+print("amplitude:", repr(cycle.amplitude))
+for name, call in [
+    ("score", lambda: geometry.curve_distance(geometry.load_bundled("rayleigh_eps5"), cycle)),
+    ("fit", lambda: geometry.fit_cycle(cycle)),
+    ("DOP853", lambda: limit_cycle(OscillatorSpec.rayleigh(1.0), IntegratorConfig(method="DOP853"))),
+]:
+    before = scipy_modules()
+    call()
+    print(name, "loads scipy:", bool(scipy_modules() - before))
 """
 
 
 def test_cold_start_loads_scipy_only_to_integrate(tmp_path):
     result = run_python("-c", COLD_START, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    *_, scipy_line, amplitude_line = result.stdout.splitlines()
+    *_, scipy_line, amplitude_line, score, fit, other = result.stdout.splitlines()
     assert scipy_line == "scipy: []"
     amplitude = float(amplitude_line.removeprefix("amplitude: "))
-    assert amplitude == limit_cycle(OscillatorSpec.rayleigh(1.0)).amplitude
+    assert amplitude == limit_cycle(OscillatorSpec.rayleigh(5.0)).amplitude
+    assert [score, fit, other] == [
+        "score loads scipy: True",
+        "fit loads scipy: True",
+        "DOP853 loads scipy: True",
+    ]

@@ -8,10 +8,9 @@ import re
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 import limitcycles.integrator as integrator
-from limitcycles._rk45 import _PlanarRK45
 from limitcycles.cli import (
     ComparisonRow,
     build_comparison,
@@ -345,11 +344,45 @@ def test_planar_stepper_fails_like_scipy_at_a_blow_up(t_final):
 
     seed = [math.copysign(1.0, t_final), 1.0]
     kw = dict(rtol=1e-9, atol=1e-11)
-    ours = solve_ivp(fun, (0.0, t_final), seed, method=_PlanarRK45, **kw)
+    ours = integrator.solve_ivp(fun, (0.0, t_final), seed, method="RK45", **kw)
     ref = solve_ivp(fun, (0.0, t_final), seed, method="RK45", **kw)
     assert not ours.success and ours.message == ref.message
     assert ours.nfev == ref.nfev and ours.t.size == ref.t.size
     assert ours.t[-1] == pytest.approx(ref.t[-1], abs=1e-12)
+
+
+def test_tableau_literals_are_scipys_rk45():
+    for ours, ref in [
+        (integrator._A, RK45.A),
+        (integrator._B, RK45.B),
+        (integrator._C, RK45.C),
+        (integrator._E, RK45.E),
+        (integrator._P, RK45.P),
+    ]:
+        np.testing.assert_array_equal(np.array(ours, dtype=float), ref)
+
+
+def test_watch_from_a_point_on_the_section_matches_scipy():
+    # the seed (2, 0) starts on z = 0, so one event sees g = 0 at t0 and its
+    # bracket opens on a root
+    cfg = IntegratorConfig()
+    fun = OscillatorSpec.van_der_pol(1.0).field_function()
+    events = [integrator._section_event(1.0), integrator._section_event(-1.0)]
+    ours = integrator._solve(fun, (0.0, 25.0), np.array(cfg.seed), cfg, events=events)
+    ref = _scipy_rk45(fun, (0.0, 25.0), np.array(cfg.seed), cfg, events=events)
+    assert ref.t_events[1][0] == 0.0
+    assert [len(t) for t in ours.t_events] == [len(t) for t in ref.t_events]
+    for t_ours, t_ref in zip(ours.t_events, ref.t_events):
+        np.testing.assert_allclose(t_ours, t_ref, rtol=0, atol=1e-11)
+
+
+def test_state_gap_does_not_depend_on_the_sampling():
+    # the sample at t = period takes the last step's own state, not the
+    # interpolant's value there
+    spec = OscillatorSpec.rayleigh(5.0653870335337245)
+    coarse = limit_cycle(spec, IntegratorConfig(n_samples=16))
+    fine = limit_cycle(spec, IntegratorConfig(n_samples=2000))
+    assert coarse.state_gap == fine.state_gap
 
 
 def _record_methods(monkeypatch) -> list:
@@ -364,13 +397,15 @@ def _record_methods(monkeypatch) -> list:
     return seen
 
 
-def test_lienard_spec_steps_in_the_planar_class(monkeypatch):
-    seen = _record_methods(monkeypatch)
+def test_lienard_spec_never_reaches_scipy(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("scipy.integrate.solve_ivp was called")
+
+    monkeypatch.setattr("scipy.integrate.solve_ivp", refuse)
     vdp_as_callables = OscillatorSpec.lienard(
         1.0, lambda y, z: z * (y * y - 1.0), lambda y: y
     )
     rec = limit_cycle(vdp_as_callables)
-    assert seen and all(m is _PlanarRK45 for m in seen)
     named = limit_cycle(OscillatorSpec.van_der_pol(1.0)).amplitude
     assert rec.amplitude == pytest.approx(named, abs=1e-12)
 

@@ -51,6 +51,14 @@ def test_amplitude_irgm_golden_and_range():
         amplitude_irgm(0.0, 1.0, 1.0)
 
 
+def test_amplitude_irgm_reaches_its_floor_in_floats():
+    # with h_rg = 1 and the rayleigh constant, 1 - exp(-eps - C) rounds to 1
+    # from about eps = 37: the excess over 2 is below what a float holds
+    constant = get_preset("rayleigh").constant
+    assert amplitude_irgm(40.0, 1.0, constant) == 2.0
+    assert amplitude_irgm(30.0, 1.0, constant) > 2.0
+
+
 def test_invert_h_goldens():
     a = amplitude_irgm(2.0, 0.3, 0.87953)
     assert invert_h(a, 2.0, 0.87953) == pytest.approx(0.3, abs=1e-10)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from limitcycles.errors import DomainError
 from limitcycles.rgflow import (
@@ -56,6 +57,14 @@ def test_a_rg_values_and_limits():
         a_rg(0.0)
     with pytest.raises(DomainError):
         a_rg(float("nan"))
+
+
+def test_a_rg_equals_scipys_brentq_root():
+    # the float port takes scipy's steps, so the roots agree to the bit
+    grid = np.concatenate([np.geomspace(0.5, 50.0, 2000), [1e-6, 0.01, 1.0, 5.0, 50.0]])
+    for eps in grid.tolist():
+        ref = brentq(lambda r: rg_amp_rate(r, eps), 2.0, 4.0, xtol=1e-14, rtol=8.9e-16)
+        assert a_rg(eps) == ref, eps
 
 
 @pytest.mark.parametrize("r0", [0.5, 3.5])
