@@ -119,9 +119,9 @@ class RunConfig:
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
         if not self.eps_grid:
             raise DomainError("eps_grid must not be empty")
-        if any(e <= 0 for e in self.eps_grid):
-            raise DomainError("eps_grid values must be positive")
-        if any(b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
+        if not all(0 < e < math.inf for e in self.eps_grid):
+            raise DomainError("eps_grid values must be positive and finite")
+        if not all(a < b for a, b in zip(self.eps_grid, self.eps_grid[1:])):
             raise DomainError("eps_grid must be strictly increasing")
         if self.irgm_preset is not None:
             get_preset(self.irgm_preset)  # an unknown name raises

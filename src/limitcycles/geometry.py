@@ -480,8 +480,8 @@ def fit_cycle(cycle: CycleRecord, tol: float = 0.1) -> PiecewiseCurve:
     bounded by the tolerance.  A cycle that needs more than ``MAX_PIECES``
     pieces raises :class:`~limitcycles.errors.ConvergenceError`.
     """
-    if tol <= 0:
-        raise DomainError("fit tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"fit tolerance must be positive and finite, got {tol!r}")
     yu, zu = _upper_half(cycle)
     n = len(yu)
     pieces: List[CurvePiece] = []

@@ -32,7 +32,7 @@ resulting two-term amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -265,8 +265,8 @@ class LinearTail:
     eps_switch: float = RAYLEIGH_A7[1]
 
     def __post_init__(self):
-        if self.slope <= 0 or self.intercept <= 0 or self.eps_switch <= 0:
-            raise DomainError("tail parameters must be positive")
+        if not all(0 < v < float("inf") for v in astuple(self)):
+            raise DomainError("tail parameters must be positive and finite")
 
     def amplitude(self, eps: float) -> float:
         return self.slope * (eps - self.eps_switch) + self.intercept
@@ -287,10 +287,10 @@ class HamControl:
         if not self.b_table:
             raise DomainError("empty coefficient table")
         uppers = [row[0] for row in self.b_table]
-        if sorted(uppers) != uppers or len(set(uppers)) != len(uppers):
-            raise DomainError("table rows must have strictly increasing bounds")
-        if any(b <= 0 for _, b in self.b_table):
-            raise DomainError("table coefficients must be positive")
+        if not all(a < b for a, b in zip([0.0, *uppers], uppers)):
+            raise DomainError("table bounds must rise strictly from 0")
+        if not all(0 < b < float("inf") for _, b in self.b_table):
+            raise DomainError("table coefficients must be positive and finite")
         if self.tail is not None and self.tail.eps_switch > uppers[-1]:
             raise DomainError("tail switch lies beyond the table range")
 

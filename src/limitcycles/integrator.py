@@ -4,15 +4,14 @@ Cycle structure comes from the Poincare section ``z = y' = 0``: the extrema
 of ``y`` sit exactly on that section, so event location gives amplitude
 readings without any extra peak interpolation.
 
-:func:`solve_ivp` runs ``method="RK45"`` as one loop over Python floats on the
-``(y, z)`` pair.  It keeps scipy's RK45 (Dormand-Prince 5(4)): the tableau,
-initial step, error norm and step-size control, so it takes scipy's steps
-with scipy's ``nfev``.  On each accepted step it applies scipy's event sign
-test, finds each crossing with :func:`brentq` (a float port of scipy's) on
-the step's quartic interpolant, and fills in the ``t_eval`` samples inside
-the step; a sample at the step's end takes the step's own state.  Any other
-``method`` goes to scipy as given, the only path that imports it; the worker
-pool loads only when ``jobs > 1``.
+:func:`solve_ivp` runs RK45 as one loop over Python floats on the ``(y, z)``
+pair.  It keeps scipy's RK45 (Dormand-Prince 5(4)): the tableau, initial
+step, error norm and step-size control, so it takes scipy's steps with
+scipy's ``nfev``.  On each accepted step it applies scipy's event sign test,
+finds each crossing with :func:`brentq` (a float port of scipy's) on the
+step's quartic interpolant, and fills in the ``t_eval`` samples inside the
+step; a sample at the step's end takes the step's own state.  No path here
+imports scipy; the worker pool loads only when ``jobs > 1``.
 
 :func:`limit_cycle` integrates past a transient of ``max(50, 2*epsilon)``
 time units (about one relaxation period at large epsilon, where the cycle
@@ -62,7 +61,6 @@ class IntegratorConfig:
     amplitude to about 1e-8, depends on where those chunks fall.
     """
 
-    method: str = "RK45"
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     transient_time: Optional[float] = None
@@ -71,17 +69,17 @@ class IntegratorConfig:
     seed: Tuple[float, float] = (2.0, 0.0)
     n_samples: int = 1000
 
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.cycle_tol <= 0:
-            raise DomainError("cycle_tol must be positive")
-        if self.max_cycles < 2:
+    def __post_init__(self):  # each test is false for NaN, so NaN is refused
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
+        if not 0 < self.cycle_tol < math.inf:
+            raise DomainError("cycle_tol must be positive and finite")
+        if not 2 <= self.max_cycles < math.inf:
             raise DomainError("max_cycles must be at least 2")
-        if self.n_samples < 8:
+        if not 8 <= self.n_samples < math.inf:
             raise DomainError("n_samples must be at least 8")
-        if self.transient_time is not None and self.transient_time < 0:
-            raise DomainError("transient_time must be nonnegative")
+        if self.transient_time is not None and not 0 <= self.transient_time < math.inf:
+            raise DomainError("transient_time must be nonnegative and finite")
 
     def transient_for(self, epsilon: float) -> float:
         if self.transient_time is not None:
@@ -224,16 +222,10 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / 2**0.5
 
 
-def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None, rtol=1e-3,
-              atol=1e-6):
-    """Integrate ``fun(t, (y, z))`` over ``t_span``.  ``method="RK45"`` runs the
-    float loop of the module docstring: its events never terminate, and
-    ``t_eval`` lies in ``t_span`` in integration order.  Any other method goes
-    to :func:`scipy.integrate.solve_ivp` unchanged."""
-    if method != "RK45":
-        from scipy import integrate
-        return integrate.solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval,
-                                   events=events, rtol=rtol, atol=atol)
+def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
+    """Integrate ``fun(t, (y, z))`` over ``t_span`` by the float RK45 loop of
+    the module docstring: its events never terminate, and ``t_eval`` lies in
+    ``t_span`` in integration order."""
     t, tf = map(float, t_span)
     y, z = map(float, y0)
     rtol, atol = max(float(rtol), 100 * _EPS), float(atol)  # scipy's rtol floor
@@ -267,7 +259,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None, rtol=1e-
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:  # attempt steps until one passes the RMS error test
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step fails here too
                 message = "Required step size is less than spacing between numbers."
                 break
             t_new = t + h_abs * direction
@@ -332,8 +324,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None, rtol=1e-
 
 
 def _solve(fun, t_span, state, config: IntegratorConfig, **kw):
-    sol = solve_ivp(fun, t_span, state, method=config.method,
-                    rtol=config.rel_tol, atol=config.abs_tol, **kw)
+    sol = solve_ivp(fun, t_span, state, rtol=config.rel_tol, atol=config.abs_tol, **kw)
     if not sol.success:
         raise ConvergenceError(f"integration failed: {sol.message}")
     return sol
@@ -366,19 +357,15 @@ def _section_event(direction: float):
     return crossing
 
 
-def limit_cycle(
-    spec: OscillatorSpec,
-    config: Optional[IntegratorConfig] = None,
-    *,
-    strict: bool = True,
-) -> CycleRecord:
+def limit_cycle(spec: OscillatorSpec,
+                config: Optional[IntegratorConfig] = None) -> CycleRecord:
     """Converge onto the attracting limit cycle and sample one period.
 
     Convergence criterion: the amplitude read at successive downward section
     crossings (the maxima of ``y``) changes by less than ``cycle_tol``.  If
     ``max_cycles`` maxima pass without that happening, raises
-    :class:`~limitcycles.errors.ConvergenceError` (or, with ``strict=False``,
-    returns the best cycle seen flagged ``converged=False``).
+    :class:`~limitcycles.errors.ConvergenceError`; a returned record is
+    always converged.
     """
     cfg = config or IntegratorConfig()
     fun = spec.field_function()
@@ -397,7 +384,6 @@ def limit_cycle(
     amps: list = []  # |y| at downward crossings
     up_abs: list = []  # |y| at upward crossings (the minima)
     t_now = 0.0
-    converged = False
     steps: list = []  # accepted watch steps (t, y, z) since the penultimate maximum
 
     while len(amps) < cfg.max_cycles:
@@ -425,23 +411,15 @@ def limit_cycle(
         state = sol.y[:, -1]
         t_now = float(sol.t[-1])
         if len(amps) >= 2 and abs(amps[-1] - amps[-2]) < cfg.cycle_tol:
-            converged = True
             break
         if not (len(t_up) or len(t_dn)) and t_now > t_trans + 100 * max(period_est, 1.0):
             raise ConvergenceError(
                 f"no section crossings found for {spec.kind} eps={spec.epsilon}"
             )
-
-    if not converged and strict:
+    else:
         raise ConvergenceError(
             f"amplitude not settled after {len(amps)} cycles "
             f"(last delta {abs(amps[-1] - amps[-2]):.3e}, tol {cfg.cycle_tol:.1e})"
-            if len(amps) >= 2
-            else f"fewer than two section crossings for {spec.kind} eps={spec.epsilon}"
-        )
-    if len(down_t) < 2:
-        raise ConvergenceError(
-            f"could not isolate a full cycle for {spec.kind} eps={spec.epsilon}"
         )
 
     # one anchored period from the penultimate maximum, re-sampled evenly in
@@ -462,7 +440,7 @@ def limit_cycle(
     amplitude = max(float(np.max(np.abs(y))), amps[-1], up_abs[-1] if up_abs else 0.0)
     return CycleRecord(
         kind=spec.kind, epsilon=spec.epsilon, amplitude=amplitude, period=period,
-        t=sol.t, y=y, z=z, converged=converged, cycles_used=len(amps),
+        t=sol.t, y=y, z=z, converged=True, cycles_used=len(amps),
         history=tuple(amps), state_gap=state_gap,
     )
 

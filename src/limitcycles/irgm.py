@@ -69,6 +69,8 @@ def amplitude_irgm(eps: float, h_rg: float, constant: float) -> float:
     cannot hold an excess below about 1e-16)."""
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be positive, got {eps!r}")
+    if not math.isfinite(h_rg):
+        raise DomainError(f"h_rg must be finite, got {h_rg!r}")
     try:
         scaled = eps**h_rg
     except OverflowError:

@@ -8,6 +8,7 @@ fresh interpreter to check which modules a cold start loads.
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import limitcycles
+import limitcycles.integrator as integrator
 from limitcycles.cli import (
     OUTPUT_DIR_ENV,
     ComparisonRow,
@@ -56,6 +58,10 @@ def run_python(*args, cwd):
 
 def run_cli(*args, cwd):
     return run_python("-m", "limitcycles", *args, cwd=cwd)
+
+
+def refuse_integration(*args, **kw):
+    raise AssertionError("integrated an input that should have been refused")
 
 
 @pytest.fixture
@@ -135,6 +141,24 @@ class TestAmplitudeCommand:
         )
         assert result.returncode == 1
         assert f"{power} overflows at eps={float(eps)!r}" in result.stderr
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--method", "irgm", "--hrg", "nan"), "h_rg must be finite"),
+            (("--method", "exact", "--rel-tol", "nan"), "tolerances must be positive"),
+        ],
+        ids=["hrg", "rel-tol"],
+    )
+    def test_nan_option_exits_one_before_integrating(
+        self, cli, monkeypatch, option, message
+    ):
+        # NaN passes every `<= 0` check: it used to be written out as a NaN
+        # amplitude, or to spin the stepper forever on a NaN step
+        monkeypatch.setattr(integrator, "solve_ivp", refuse_integration)
+        result = cli("amplitude", "--system", "rayleigh", "--eps", "2", *option)
+        assert result.returncode == 1
+        assert message in result.stderr
 
 
 class TestSweepCommand:
@@ -229,6 +253,29 @@ class TestSweepCommand:
         assert (tmp_path / "sweep_rayleigh.csv").exists()
         assert not (tmp_path / "sweep_rayleigh.svg").exists()
 
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            # every config an older to_json() wrote carries "method": "RK45"
+            ({"integrator": {"method": "DOP853"}}, "method"),
+            ({"integrator": {"rel_tol": math.nan}}, "tolerances must be positive"),
+            ({"ham_control": {"b_table": [[4.0, math.nan], [50.0, 0.185]]}},
+             "coefficients must be positive"),
+        ],
+        ids=["method", "rel_tol", "b_table"],
+    )
+    def test_config_refused_before_any_work(
+        self, cli, tmp_path, monkeypatch, section, message
+    ):
+        monkeypatch.setattr(integrator, "solve_ivp", refuse_integration)
+        (tmp_path / "run.json").write_text(json.dumps(section))
+        result = cli(
+            "sweep", "--config", "run.json", "--grid", "1", "--methods", "exact,ham",
+        )
+        assert result.returncode == 1
+        assert message in result.stderr
+        assert not list(tmp_path.glob("sweep_*"))
+
     def test_irgm_and_fit_conflict(self, cli):
         result = cli(
             "sweep", "--system", "vdp", "--grid", "1", "--methods", "irgm,fit",
@@ -293,6 +340,11 @@ class TestFitCommand:
         )
         assert result.returncode == 2
         assert f"more than {MAX_PIECES} pieces" in result.stderr
+
+    def test_nan_tolerance_exits_one(self, cli):
+        result = cli("fit", "--system", "vdp", "--eps", "1", "--tol", "nan")
+        assert result.returncode == 1
+        assert "fit tolerance must be positive and finite" in result.stderr
 
 
 class TestOutputDirResolution:
@@ -381,8 +433,9 @@ class TestRunConfig:
     def test_grid_validation(self):
         with pytest.raises(DomainError, match="strictly increasing"):
             RunConfig(eps_grid=(2.0, 1.0))
-        with pytest.raises(DomainError, match="positive"):
-            RunConfig(eps_grid=(-1.0, 1.0))
+        for grid in ((-1.0, 1.0), (1.0, math.nan), (math.nan,), (1.0, math.inf)):
+            with pytest.raises(DomainError, match="positive and finite"):
+                RunConfig(eps_grid=grid)
         with pytest.raises(DomainError, match="empty"):
             RunConfig(eps_grid=())
 
@@ -468,14 +521,14 @@ class TestBuildComparison:
 
 
 # A fresh interpreter serves every closed form, the bundled tables, curve
-# files, an ``amplitude --method ham`` call, RK45 cycles and sweeps and the
-# slow-flow root with numpy alone.  Only a score, a fit or a non-RK45 method
-# loads scipy, and each of them loads modules the calls before did not.
+# files, an ``amplitude --method ham`` call, cycles and sweeps and the
+# slow-flow root with numpy alone.  Only a score or a fit loads scipy, and
+# each of them loads modules the calls before did not.
 COLD_START = """
 import sys
 import limitcycles, limitcycles.cli
 from limitcycles import geometry, ham, irgm
-from limitcycles.integrator import IntegratorConfig, amplitude_sweep, limit_cycle
+from limitcycles.integrator import amplitude_sweep, limit_cycle
 from limitcycles.oscillators import OscillatorSpec
 from limitcycles.rgflow import a_rg
 
@@ -499,7 +552,6 @@ print("amplitude:", repr(cycle.amplitude))
 for name, call in [
     ("score", lambda: geometry.curve_distance(geometry.load_bundled("rayleigh_eps5"), cycle)),
     ("fit", lambda: geometry.fit_cycle(cycle)),
-    ("DOP853", lambda: limit_cycle(OscillatorSpec.rayleigh(1.0), IntegratorConfig(method="DOP853"))),
 ]:
     before = scipy_modules()
     call()
@@ -507,15 +559,11 @@ for name, call in [
 """
 
 
-def test_cold_start_loads_scipy_only_to_integrate(tmp_path):
+def test_cold_start_loads_scipy_only_to_score_or_fit(tmp_path):
     result = run_python("-c", COLD_START, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    *_, scipy_line, amplitude_line, score, fit, other = result.stdout.splitlines()
+    *_, scipy_line, amplitude_line, score, fit = result.stdout.splitlines()
     assert scipy_line == "scipy: []"
     amplitude = float(amplitude_line.removeprefix("amplitude: "))
     assert amplitude == limit_cycle(OscillatorSpec.rayleigh(5.0)).amplitude
-    assert [score, fit, other] == [
-        "score loads scipy: True",
-        "fit loads scipy: True",
-        "DOP853 loads scipy: True",
-    ]
+    assert [score, fit] == ["score loads scipy: True", "fit loads scipy: True"]

@@ -386,8 +386,9 @@ class TestFitCycle:
             fit_cycle(eps5_cycles["vanderpol"], tol=1e-4)
 
     def test_bad_arguments(self, eps5_cycles):
-        with pytest.raises(DomainError):
-            fit_cycle(eps5_cycles["rayleigh"], tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                fit_cycle(eps5_cycles["rayleigh"], tol=tol)
 
     @pytest.mark.parametrize("eps", [15.0, 20.0, 30.0, 50.0])
     @pytest.mark.parametrize("form", ["vanderpol", "lienard"])
@@ -401,9 +402,7 @@ class TestFitCycle:
     def test_harmonic_circle_fits_one_arc(self):
         # epsilon -> 0 limit: the cycle is a circle, one arc suffices
         spec = OscillatorSpec.lienard(1.0, lambda y, z: 0.0, lambda y: y)
-        cycle = limit_cycle(
-            spec, IntegratorConfig(max_cycles=5, cycle_tol=1.0), strict=False
-        )
+        cycle = limit_cycle(spec, IntegratorConfig(max_cycles=5, cycle_tol=1.0))
         fit = fit_cycle(cycle, tol=0.05)
         assert len(fit.pieces) == 1
         arc = fit.pieces[0].shape

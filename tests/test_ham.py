@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,15 @@ def test_control_construction_validation():
         HamControl(b_table=((4.0, 0.1),), tail=LinearTail(eps_switch=10.0))
     with pytest.raises(DomainError):
         LinearTail(slope=-1.0)
+    # NaN fails every comparison, so each check must be written to refuse it
+    with pytest.raises(DomainError):
+        HamControl(b_table=((4.0, math.nan), (50.0, 0.185)))
+    with pytest.raises(DomainError):
+        HamControl(b_table=((math.nan, 0.1), (50.0, 0.185)))
+    with pytest.raises(DomainError):
+        LinearTail(slope=math.nan)
+    with pytest.raises(DomainError):
+        LinearTail(slope=math.inf)
 
 
 def test_breakpoint_jumps_measured_values():

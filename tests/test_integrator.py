@@ -39,6 +39,12 @@ def test_config_validation():
         dict(max_cycles=1),
         dict(n_samples=4),
         dict(transient_time=-1.0),
+        dict(rel_tol=math.nan),
+        dict(abs_tol=math.inf),
+        dict(cycle_tol=math.nan),
+        dict(max_cycles=math.nan),
+        dict(n_samples=math.nan),
+        dict(transient_time=math.nan),
     ):
         with pytest.raises(DomainError):
             IntegratorConfig(**bad)
@@ -160,25 +166,14 @@ def test_non_convergence_paths():
     cfg = IntegratorConfig(transient_time=0.0, max_cycles=2, cycle_tol=1e-16)
     with pytest.raises(ConvergenceError):
         limit_cycle(OscillatorSpec.rayleigh(5.0), cfg)
-    rec = limit_cycle(OscillatorSpec.rayleigh(5.0), cfg, strict=False)
-    assert not rec.converged
-    assert rec.cycles_used >= 2
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_max_cycles_holds_inside_one_watch_chunk(strict):
+def test_max_cycles_holds_inside_one_watch_chunk():
     # at eps = 1 one 25-unit watch chunk holds about four maxima; only the
     # first max_cycles of them may count
     cfg = IntegratorConfig(transient_time=0.0, max_cycles=2, cycle_tol=1e-16)
-    spec = OscillatorSpec.rayleigh(1.0)
-    if strict:
-        with pytest.raises(ConvergenceError, match="after 2 cycles"):
-            limit_cycle(spec, cfg)
-    else:
-        rec = limit_cycle(spec, cfg, strict=False)
-        assert not rec.converged
-        assert rec.cycles_used == 2
-        assert len(rec.history) == 2
+    with pytest.raises(ConvergenceError, match="after 2 cycles"):
+        limit_cycle(OscillatorSpec.rayleigh(1.0), cfg)
 
 
 def test_sweep_records_failures_without_aborting():
@@ -344,7 +339,7 @@ def test_planar_stepper_fails_like_scipy_at_a_blow_up(t_final):
 
     seed = [math.copysign(1.0, t_final), 1.0]
     kw = dict(rtol=1e-9, atol=1e-11)
-    ours = integrator.solve_ivp(fun, (0.0, t_final), seed, method="RK45", **kw)
+    ours = integrator.solve_ivp(fun, (0.0, t_final), seed, **kw)
     ref = solve_ivp(fun, (0.0, t_final), seed, method="RK45", **kw)
     assert not ours.success and ours.message == ref.message
     assert ours.nfev == ref.nfev and ours.t.size == ref.t.size
@@ -385,16 +380,21 @@ def test_state_gap_does_not_depend_on_the_sampling():
     assert coarse.state_gap == fine.state_gap
 
 
-def _record_methods(monkeypatch) -> list:
-    seen = []
-    real = integrator.solve_ivp
+def test_nan_field_fails_instead_of_spinning():
+    # a NaN derivative makes a NaN step, which must fail the step-size floor
+    # rather than be attempted forever
+    calls = 0
 
-    def spy(*args, **kw):
-        seen.append(kw["method"])
-        return real(*args, **kw)
+    def fun(t, state):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("the stepper kept attempting NaN steps")
+        return math.nan, state[0]
 
-    monkeypatch.setattr(integrator, "solve_ivp", spy)
-    return seen
+    sol = integrator.solve_ivp(fun, (0.0, 1.0), (2.0, 0.0), rtol=1e-9, atol=1e-11)
+    assert not sol.success
+    assert sol.message == "Required step size is less than spacing between numbers."
 
 
 def test_lienard_spec_never_reaches_scipy(monkeypatch):
@@ -408,12 +408,3 @@ def test_lienard_spec_never_reaches_scipy(monkeypatch):
     rec = limit_cycle(vdp_as_callables)
     named = limit_cycle(OscillatorSpec.van_der_pol(1.0)).amplitude
     assert rec.amplitude == pytest.approx(named, abs=1e-12)
-
-
-def test_other_methods_reach_scipy_unchanged(monkeypatch):
-    seen = _record_methods(monkeypatch)
-    rec = limit_cycle(OscillatorSpec.rayleigh(1.0), IntegratorConfig(method="DOP853"))
-    assert seen and set(seen) == {"DOP853"}
-    assert rec.converged
-    default = limit_cycle(OscillatorSpec.rayleigh(1.0)).amplitude
-    assert rec.amplitude == pytest.approx(default, abs=1e-8)

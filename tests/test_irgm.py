@@ -49,6 +49,8 @@ def test_amplitude_irgm_golden_and_range():
         amplitude_irgm(0.5, 1.0, -2.0)  # exp(0.5+2) > 1: below the floor
     with pytest.raises(DomainError):
         amplitude_irgm(0.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        amplitude_irgm(2.0, math.nan, 1.0)  # would return NaN
 
 
 def test_amplitude_irgm_reaches_its_floor_in_floats():
