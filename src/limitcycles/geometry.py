@@ -415,47 +415,82 @@ def _upper_half(cycle: CycleRecord) -> Tuple[np.ndarray, np.ndarray]:
     return yu, zu
 
 
+_GOLDEN, _SQRT_EPS = 0.5 * (3.0 - math.sqrt(5.0)), math.sqrt(2.2e-16)
+
+
+def _sign(x: float) -> float:  # scipy's np.sign(x) + (x == 0): 1 at 0, NaN at NaN
+    return 1.0 if x >= 0 else -1.0 if x < 0 else x
+
+
+def _fminbound(cost, a: float, b: float, xatol: float) -> float:
+    """The minimiser of ``cost`` on ``[a, b]`` by Brent's bounded method
+    (Brent 1973, ch. 5), step for step as scipy's ``minimize_scalar(...,
+    method="bounded")`` takes it (500 evaluations at most), in floats."""
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = cost(xf)
+    for _ in range(499):  # one evaluation per pass
+        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + xatol / 3.0
+        if not abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+            break
+        parabola = False
+        if abs(e) > tol1:  # a parabola through the three best points
+            r, q = (xf - nfc) * (fx - ffulc), (xf - fulc) * (fx - fnfc)
+            p, q = (xf - fulc) * q - (xf - nfc) * r, 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, rat
+            parabola = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+        if parabola:
+            rat = (p + 0.0) / q
+            if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
+                rat = tol1 * _sign(xm - xf)
+        else:  # a golden-section step into the larger part
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = cost(x)
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf
+
+
 def _fit_window(y: np.ndarray, z: np.ndarray) -> Shape:
     """Best arc or segment through the window's endpoints.
 
     The center of any circle through both endpoints lies on their
     perpendicular bisector; the one-parameter family is searched for the
-    least-squares geometric residual.  Radii beyond ``LINE_RADIUS_LIMIT``
+    least-squares geometric residual by :func:`_fminbound`, a float port of
+    scipy's bounded Brent minimiser.  Radii beyond ``LINE_RADIUS_LIMIT``
     collapse to the chord segment.
     """
-    from scipy.optimize import minimize_scalar
-    p0 = np.array([y[0], z[0]])
-    p1 = np.array([y[-1], z[-1]])
-    chord = p1 - p0
-    length = float(np.hypot(*chord))
+    y0, z0, y1, z1 = float(y[0]), float(z[0]), float(y[-1]), float(z[-1])
+    cy, cz = y1 - y0, z1 - z0
+    length = float(np.hypot(cy, cz))
     if length <= 0:
         raise DomainError("degenerate window: coincident endpoints")
-    mid = 0.5 * (p0 + p1)
-    normal = np.array([-chord[1], chord[0]]) / length
-    pts = np.column_stack([y, z])
+    my, mz = 0.5 * (y0 + y1), 0.5 * (z0 + z1)
+    ny, nz = -cz / length, cy / length
 
     def cost(s: float) -> float:
-        center = mid + s * normal
-        radius = math.hypot(0.5 * length, s)
-        r = np.hypot(*(pts - center).T) - radius
-        return float((r * r).mean())
+        r = np.hypot(y - (my + s * ny), z - (mz + s * nz)) - math.hypot(0.5 * length, s)
+        return float(np.add.reduce(r * r) / len(r))  # ndarray.mean's pairwise sum
 
     if len(y) > 2:
-        best = minimize_scalar(
-            cost, bounds=(-2.0 * LINE_RADIUS_LIMIT, 2.0 * LINE_RADIUS_LIMIT),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        s = float(best.x)
+        s = _fminbound(cost, -2.0 * LINE_RADIUS_LIMIT, 2.0 * LINE_RADIUS_LIMIT, 1e-10)
     else:
         s = 2.0 * LINE_RADIUS_LIMIT  # two points: straight chord
     radius = math.hypot(0.5 * length, s)
     if radius > LINE_RADIUS_LIMIT:
-        slope = chord[1] / chord[0]
-        return Segment(float(slope), float(p0[1] - slope * p0[0]))
-    center = mid + s * normal
-    branch = UPPER if np.mean(z) >= center[1] else LOWER
-    return Arc((float(center[0]), float(center[1])), float(radius), branch)
+        slope = cz / cy
+        return Segment(slope, z0 - slope * y0)
+    branch = UPPER if np.mean(z) >= mz + s * nz else LOWER
+    return Arc((my + s * ny, mz + s * nz), radius, branch)
 
 
 def _window_residual(shape: Shape, y: np.ndarray, z: np.ndarray) -> float:

@@ -80,6 +80,8 @@ class IntegratorConfig:
             raise DomainError("n_samples must be at least 8")
         if self.transient_time is not None and not 0 <= self.transient_time < math.inf:
             raise DomainError("transient_time must be nonnegative and finite")
+        if not (all(map(math.isfinite, self.seed)) and any(self.seed)):
+            raise DomainError(f"seed must be finite and not the origin, got {self.seed!r}")
 
     def transient_for(self, epsilon: float) -> float:
         if self.transient_time is not None:
@@ -202,10 +204,21 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     raise ConvergenceError("brentq did not converge in 100 iterations")
 
 
+def _quartic(k):
+    """``[sum(ki * p[j] for ki, p in zip(k, _P)) for j in range(4)]`` unrolled in
+    order, less ``k2``'s zero row: a finite ``+-0.0`` leaves such a sum as it is."""
+    k1, _, k3, k4, k5, k6, k7 = k
+    (_, a1, a2, a3), _, (_, c1, c2, c3), (_, d1, d2, d3), (_, e1, e2, e3), (
+        _, f1, f2, f3), (_, g1, g2, g3) = _P
+    return (0 + k1,
+            0 + k1 * a1 + k3 * c1 + k4 * d1 + k5 * e1 + k6 * f1 + k7 * g1,
+            0 + k1 * a2 + k3 * c2 + k4 * d2 + k5 * e2 + k6 * f2 + k7 * g2,
+            0 + k1 * a3 + k3 * c3 + k4 * d3 + k5 * e3 + k6 * f3 + k7 * g3)
+
+
 def _dense_output(t_old: float, h: float, y_old: float, z_old: float, ky, kz):
     """RK45's quartic interpolant over one step, ``s -> (y, z)``."""
-    (qy0, qy1, qy2, qy3), (qz0, qz1, qz2, qz3) = (
-        [sum(k * p[j] for k, p in zip(ks, _P)) for j in range(4)] for ks in (ky, kz))
+    (qy0, qy1, qy2, qy3), (qz0, qz1, qz2, qz3) = _quartic(ky), _quartic(kz)
 
     def sol(s: float):
         x = (s - t_old) / h

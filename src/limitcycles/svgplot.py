@@ -46,11 +46,14 @@ class Series:
             raise DomainError(f"series {self.label!r} is empty")
 
 
-def _finite_bounds(values) -> Tuple[float, float]:
-    finite = [v for v in values if math.isfinite(v)]
+def _finite_bounds(columns) -> Tuple[float, float]:
+    """Least and greatest finite value over all ``columns``, moved 1 apart
+    each way when they are equal."""
+    finite = [v for values in columns for v in values if math.isfinite(v)]
     if not finite:
         raise DomainError("no finite data to plot")
-    return min(finite), max(finite)
+    lo, hi = min(finite), max(finite)
+    return (lo, hi) if lo < hi else (lo - 1.0, hi + 1.0)
 
 
 def _nice_step(span: float) -> float:
@@ -103,14 +106,8 @@ def line_plot(
     if not series_list:
         raise DomainError("nothing to plot")
 
-    x_lo = min(_finite_bounds(s.x)[0] for s in series_list)
-    x_hi = max(_finite_bounds(s.x)[1] for s in series_list)
-    y_lo = min(_finite_bounds(s.y)[0] for s in series_list)
-    y_hi = max(_finite_bounds(s.y)[1] for s in series_list)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _finite_bounds(s.x for s in series_list)
+    y_lo, y_hi = _finite_bounds(s.y for s in series_list)
     pad_x = 0.02 * (x_hi - x_lo)
     pad_y = 0.06 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x

@@ -253,6 +253,23 @@ class TestSweepCommand:
         assert (tmp_path / "sweep_rayleigh.csv").exists()
         assert not (tmp_path / "sweep_rayleigh.svg").exists()
 
+    def test_one_failed_series_still_plots(self, cli, tmp_path):
+        # two readings cannot settle to 1e-16, so the exact point fails; the
+        # ham column alone sets the plot's bounds
+        config = {"integrator": {"transient_time": 0, "max_cycles": 2, "cycle_tol": 1e-16}}
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        result = cli(
+            "sweep", "--config", "run.json", "--grid", "1", "--methods", "exact,ham",
+        )
+        assert result.returncode == 0, result.stderr
+        with open(tmp_path / "sweep_rayleigh.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["a_exact"] == "" and float(row["a_ham"]) > 2.0
+        assert row["error"].startswith("ConvergenceError: amplitude not settled")
+        svg = (tmp_path / "sweep_rayleigh.svg").read_text()
+        ET.fromstring(svg)
+        assert svg.count("<circle") == 1  # the ham point; exact draws nothing
+
     @pytest.mark.parametrize(
         "section, message",
         [
@@ -261,8 +278,11 @@ class TestSweepCommand:
             ({"integrator": {"rel_tol": math.nan}}, "tolerances must be positive"),
             ({"ham_control": {"b_table": [[4.0, math.nan], [50.0, 0.185]]}},
              "coefficients must be positive"),
+            # the equilibrium would pass as a converged cycle of amplitude 0
+            ({"integrator": {"seed": [0.0, 0.0]}}, "seed must be finite and not the origin"),
+            ({"integrator": {"seed": [math.nan, 0.0]}}, "seed must be finite"),
         ],
-        ids=["method", "rel_tol", "b_table"],
+        ids=["method", "rel_tol", "b_table", "seed_origin", "seed_nan"],
     )
     def test_config_refused_before_any_work(
         self, cli, tmp_path, monkeypatch, section, message
@@ -521,9 +541,8 @@ class TestBuildComparison:
 
 
 # A fresh interpreter serves every closed form, the bundled tables, curve
-# files, an ``amplitude --method ham`` call, cycles and sweeps and the
-# slow-flow root with numpy alone.  Only a score or a fit loads scipy, and
-# each of them loads modules the calls before did not.
+# files, an ``amplitude --method ham`` call, cycles, sweeps, the slow-flow
+# root and a cycle fit with numpy alone.  Only a score loads scipy.
 COLD_START = """
 import sys
 import limitcycles, limitcycles.cli
@@ -559,11 +578,11 @@ for name, call in [
 """
 
 
-def test_cold_start_loads_scipy_only_to_score_or_fit(tmp_path):
+def test_cold_start_loads_scipy_only_to_score(tmp_path):
     result = run_python("-c", COLD_START, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     *_, scipy_line, amplitude_line, score, fit = result.stdout.splitlines()
     assert scipy_line == "scipy: []"
     amplitude = float(amplitude_line.removeprefix("amplitude: "))
     assert amplitude == limit_cycle(OscillatorSpec.rayleigh(5.0)).amplitude
-    assert [score, fit] == ["score loads scipy: True", "fit loads scipy: True"]
+    assert [score, fit] == ["score loads scipy: True", "fit loads scipy: False"]

@@ -2,12 +2,14 @@
 
 import functools
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from limitcycles import geometry
 from limitcycles.errors import ConvergenceError, DomainError
 from limitcycles.geometry import (
     MAX_PIECES,
@@ -27,7 +29,11 @@ from limitcycles.geometry import (
     write_curve,
 )
 from limitcycles.geometry import (
+    LINE_RADIUS_LIMIT,
+    LOWER,
+    UPPER,
     DistanceReport,
+    _fminbound,
     _points_to_polyline,
     _sample_curve,
     _window_residual,
@@ -409,6 +415,107 @@ class TestFitCycle:
         assert isinstance(arc, Arc)
         assert arc.radius == pytest.approx(2.0, abs=1e-3)
         assert arc.center[0] == pytest.approx(0.0, abs=1e-3)
+
+
+# -- the float ports against scipy, bit for bit ------------------------------
+
+
+def _scipy_fit_window(y, z):
+    """Reference fit: the window fit as it was written on scipy's
+    ``minimize_scalar``, numpy arrays throughout."""
+    from scipy.optimize import minimize_scalar
+    p0 = np.array([y[0], z[0]])
+    p1 = np.array([y[-1], z[-1]])
+    chord = p1 - p0
+    length = float(np.hypot(*chord))
+    if length <= 0:
+        raise DomainError("degenerate window: coincident endpoints")
+    mid = 0.5 * (p0 + p1)
+    normal = np.array([-chord[1], chord[0]]) / length
+    pts = np.column_stack([y, z])
+
+    def cost(s):
+        center = mid + s * normal
+        radius = math.hypot(0.5 * length, s)
+        r = np.hypot(*(pts - center).T) - radius
+        return float((r * r).mean())
+
+    if len(y) > 2:
+        best = minimize_scalar(
+            cost, bounds=(-2.0 * LINE_RADIUS_LIMIT, 2.0 * LINE_RADIUS_LIMIT),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        s = float(best.x)
+    else:
+        s = 2.0 * LINE_RADIUS_LIMIT
+    radius = math.hypot(0.5 * length, s)
+    if radius > LINE_RADIUS_LIMIT:
+        slope = chord[1] / chord[0]
+        return Segment(float(slope), float(p0[1] - slope * p0[0]))
+    center = mid + s * normal
+    branch = UPPER if np.mean(z) >= center[1] else LOWER
+    return Arc((float(center[0]), float(center[1])), float(radius), branch)
+
+
+def _cost_family(kind, rng):
+    """One seeded cost and its bounds: smooth, non-smooth, flat, or with its
+    minimum at either bound."""
+    c, w = rng.uniform(-10.0, 10.0), rng.uniform(0.1, 5.0)
+    lo = rng.uniform(-20.0, 0.0)
+    hi = lo + rng.uniform(0.01, 30.0)
+    cost = {
+        "smooth": lambda x: w * (x - c) ** 2 + math.cos(x),
+        "wavy": lambda x: math.cos(w * x) + 0.01 * x,
+        "kink": lambda x: abs(x - c) + 0.1 * math.sin(w * x),
+        "flat": lambda x: 1.0,
+        "min-at-lo": lambda x: w * x,
+        "min-at-hi": lambda x: -w * x,
+    }[kind]
+    return cost, lo, hi
+
+
+class TestPortsMatchScipy:
+    @pytest.mark.parametrize(
+        "kind", ["smooth", "wavy", "kink", "flat", "min-at-lo", "min-at-hi"]
+    )
+    def test_fminbound_is_scipys_bounded_brent(self, kind):
+        from scipy.optimize import minimize_scalar
+
+        rng = random.Random(kind)
+        for _ in range(100):
+            cost, lo, hi = _cost_family(kind, rng)
+            xatol = 10.0 ** rng.uniform(-12.0, -3.0)
+            ref = minimize_scalar(
+                cost, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+            )
+            assert repr(_fminbound(cost, lo, hi, xatol)) == repr(float(ref.x))
+
+    def test_fminbound_stops_where_scipy_does(self):
+        from scipy.optimize import minimize_scalar
+
+        # no tolerance around a minimum at 0 exhausts the 500 evaluations; a
+        # NaN cost, or a NaN past 0.5, stops early the way scipy's does
+        for cost, lo, hi, xatol in [
+            (abs, -3.0, 1.0, 0.0),
+            (lambda x: math.nan, -1.0, 1.0, 1e-5),
+            (lambda x: math.nan if x > 0.5 else x * x, -1.0, 1.0, 1e-8),
+        ]:
+            ref = minimize_scalar(
+                cost, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+            )
+            assert repr(_fminbound(cost, lo, hi, xatol)) == repr(float(ref.x))
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 5.0, 20.0, 50.0])
+    @pytest.mark.parametrize("form", ["rayleigh", "vanderpol"])
+    def test_fit_is_the_scipy_fit_bit_for_bit(self, form, eps, monkeypatch):
+        cycle = _cycle(form, eps)
+        ours = fit_cycle(cycle, tol=0.1)
+        monkeypatch.setattr(geometry, "_fit_window", _scipy_fit_window)
+        ref = fit_cycle(cycle, tol=0.1)
+        assert len(ours.pieces) == len(ref.pieces)
+        for mine, theirs in zip(ours.pieces, ref.pieces):
+            assert repr(mine) == repr(theirs)
 
 
 # ---------------------------------------------------------------------------

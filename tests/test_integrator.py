@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import random
 import re
 
 import numpy as np
@@ -45,6 +46,12 @@ def test_config_validation():
         dict(max_cycles=math.nan),
         dict(n_samples=math.nan),
         dict(transient_time=math.nan),
+        # from the origin the field stays zero, and every step would read a
+        # section crossing at amplitude 0
+        dict(seed=(0.0, 0.0)),
+        dict(seed=(-0.0, 0.0)),
+        dict(seed=(math.nan, 0.0)),
+        dict(seed=(2.0, math.inf)),
     ):
         with pytest.raises(DomainError):
             IntegratorConfig(**bad)
@@ -355,6 +362,44 @@ def test_tableau_literals_are_scipys_rk45():
         (integrator._P, RK45.P),
     ]:
         np.testing.assert_array_equal(np.array(ours, dtype=float), ref)
+
+
+def _generator_sum_dense_output(t_old, h, y_old, z_old, ky, kz):
+    """Reference interpolant: each coefficient as a running sum over the
+    stages from 0, the way ``sum()`` adds floats up to Python 3.11."""
+    def column(ks, j):
+        total = 0
+        for k, p in zip(ks, integrator._P):
+            total = total + k * p[j]
+        return total
+
+    (qy0, qy1, qy2, qy3), (qz0, qz1, qz2, qz3) = (
+        [column(ks, j) for j in range(4)] for ks in (ky, kz))
+
+    def sol(s):
+        x = (s - t_old) / h
+        x2 = x * x
+        x3, x4 = x2 * x, x2 * x * x
+        return (h * (qy0 * x + qy1 * x2 + qy2 * x3 + qy3 * x4) + y_old,
+                h * (qz0 * x + qz1 * x2 + qz2 * x3 + qz3 * x4) + z_old)
+
+    return sol
+
+
+def test_unrolled_interpolant_is_the_generator_sum():
+    rng = random.Random(7)
+
+    def stage():
+        # magnitudes over many decades, exact zeros of both signs included
+        return rng.choice([0.0, -0.0, rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12)])
+
+    for _ in range(5000):
+        t_old, h = rng.uniform(-50, 50), rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6, 1)
+        args = (t_old, h, rng.uniform(-5, 5), rng.uniform(-50, 50),
+                tuple(stage() for _ in range(7)), tuple(stage() for _ in range(7)))
+        ours, ref = integrator._dense_output(*args), _generator_sum_dense_output(*args)
+        for s in (t_old, t_old + h, t_old + rng.random() * h):
+            assert repr(ours(s)) == repr(ref(s))
 
 
 def test_watch_from_a_point_on_the_section_matches_scipy():

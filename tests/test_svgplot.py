@@ -1,6 +1,7 @@
 """Tests for the self-contained SVG line-plot emitter."""
 
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -67,3 +68,14 @@ def test_empty_plot_rejected():
         line_plot([])
     with pytest.raises(DomainError, match="no finite data"):
         line_plot([Series("nan", [math.nan], [math.nan])])
+
+
+def test_series_with_no_finite_value_draws_nothing():
+    # the bounds come from every series' finite values together
+    failed = Series("failed", [1.0, 2.0], [math.nan, math.nan])
+    ok = Series("ok", [1.0, 2.0], [3.0, 4.0])
+    svg = line_plot([failed, ok])
+    ET.fromstring(svg)
+    assert svg.count("<polyline") == 1
+    points = re.compile(r'points="([^"]*)"')
+    assert points.findall(svg) == points.findall(line_plot([ok]))
