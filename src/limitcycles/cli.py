@@ -46,7 +46,7 @@ from .ham import (
     breakpoint_jumps,
     control_h,
 )
-from .integrator import IntegratorConfig, amplitude_sweep, limit_cycle
+from .integrator import IntegratorConfig, _converge, amplitude_sweep, limit_cycle
 from .irgm import amplitude_irgm, consistency_report, get_preset, vdp_fit
 from .oscillators import RAYLEIGH, VAN_DER_POL, OscillatorSpec
 from .rgflow import a_rg
@@ -219,10 +219,11 @@ def _amplitude_record(
             f"method {method!r} ({_METHODS[method].label}) covers the {covers} "
             f"system, not {system}"
         )
-    if method == "exact":
-        cycle = limit_cycle(OscillatorSpec(system, eps), config)
-        names = ("amplitude", "period", "cycles_used")
-        return {name: getattr(cycle, name) for name in names}
+    if method == "exact":  # a sweep point's reading: no period is sampled
+        amplitude, period, readings, *_ = _converge(
+            OscillatorSpec(system, eps), config or IntegratorConfig()
+        )
+        return {"amplitude": amplitude, "period": period, "cycles_used": len(readings)}
     if method == "ham":
         amplitude = amplitude_ham(eps, control)
         return {"amplitude": amplitude, "control_h": control_h(eps, control)}
@@ -574,38 +575,10 @@ def cmd_report(args) -> int:
     out_dir = _resolve_output_dir(args.output_dir or config.output_dir)
     notes: List[str] = []
 
-    # 1. anchor amplitudes
-    anchors = []
-    for system, eps, cited, tol in ANCHORS:
-        cycle = limit_cycle(OscillatorSpec(system, eps), config.integrator)
-        gap = abs(cycle.amplitude - cited)
-        flag = "ok" if gap <= tol else "MISMATCH"
-        anchors.append(
-            {
-                "system": system,
-                "eps": eps,
-                "amplitude": cycle.amplitude,
-                "published": cited,
-                "difference": gap,
-                "status": flag,
-            }
-        )
-        print(
-            f"anchor {system} eps={eps:g}: {cycle.amplitude:.6f} "
-            f"(published {cited}) {flag}"
-        )
-        if flag != "ok":
-            notes.append(
-                f"anchor {system} eps={eps:g}: recomputed {cycle.amplitude:.6f} "
-                f"vs published {cited} (|diff| = {gap:.2e} > {tol})"
-            )
-    (out_dir / "anchors.json").write_text(
-        json.dumps(anchors, indent=2) + "\n", encoding="utf-8"
-    )
-
-    # 2-3. exact amplitudes against the closed forms at their published
-    # bounds: the tuned expansion on Rayleigh, the two-branch fit on van der Pol
-    for prefix, system, grid, methods, column, bound, label, claim in (
+    # the exact-vs-closed-form comparisons of steps 2-3: the tuned expansion
+    # on Rayleigh, the two-branch fit on van der Pol, at their published
+    # bounds; swept first, so an anchor on a grid states its row's amplitude
+    comparisons = (
         (
             "rayleigh", RAYLEIGH, config.eps_grid, ("exact", "ham", "rg", "irgm"),
             "rel_err_ham", HAM_BOUND, "tuned-2nd-order",
@@ -616,12 +589,54 @@ def cmd_report(args) -> int:
             "rel_err_irgm", VDP_FIT_BOUND, "two-branch fit",
             "two-branch fit claim (<{:g}%) not reproduced on the report grid",
         ),
-    ):
-        rows = build_comparison(
-            system, grid, methods,
-            config=config.integrator, jobs=args.jobs, preset=config.irgm_preset,
-            control=config.ham_control,
+    )
+    tables = [
+        build_comparison(system, grid, methods, config=config.integrator, jobs=args.jobs,
+                         preset=config.irgm_preset, control=config.ham_control)
+        for _, system, grid, methods, *_ in comparisons
+    ]
+    swept = {(system, row.eps): row
+             for (_, system, *_), rows in zip(comparisons, tables) for row in rows}
+
+    # 1. anchor amplitudes
+    anchors = []
+    for system, eps, cited, tol in ANCHORS:
+        # an anchor off the grids is a one-point sweep; a failed one ends the report
+        row = swept.get((system, eps)) or build_comparison(
+            system, [eps], ("exact",), config=config.integrator
+        )[0]
+        if row.a_exact is None:
+            raise ConvergenceError(f"anchor {system} eps={eps:g}: {row.error}")
+        amplitude = row.a_exact
+        gap = abs(amplitude - cited)
+        flag = "ok" if gap <= tol else "MISMATCH"
+        anchors.append(
+            {
+                "system": system,
+                "eps": eps,
+                "amplitude": amplitude,
+                "published": cited,
+                "difference": gap,
+                "status": flag,
+            }
         )
+        print(
+            f"anchor {system} eps={eps:g}: {amplitude:.6f} "
+            f"(published {cited}) {flag}"
+        )
+        if flag != "ok":
+            notes.append(
+                f"anchor {system} eps={eps:g}: recomputed {amplitude:.6f} "
+                f"vs published {cited} (|diff| = {gap:.2e} > {tol})"
+            )
+    (out_dir / "anchors.json").write_text(
+        json.dumps(anchors, indent=2) + "\n", encoding="utf-8"
+    )
+
+    # 2-3. the comparison tables and their worst errors
+    for (prefix, system, _, methods, column, bound, label, claim), rows in zip(
+        comparisons, tables
+    ):
         _save_comparison(
             rows, methods, system,
             out_dir / f"{prefix}_comparison.csv", out_dir / f"{prefix}_amplitude.svg",

@@ -20,10 +20,13 @@ section crossings until the per-cycle amplitude stabilizes below
 ``cycle_tol``; the converged cycle is re-sampled over one period at points
 evenly spaced in arclength, so van der Pol's fast relaxation jumps get as
 many samples as their length asks for and the polygon through the samples
-stays close to the cycle everywhere.
-:func:`amplitude_sweep` maps that over a grid of nonlinearity values,
-optionally across processes, recording per-point failures instead of
-aborting the sweep.
+stays close to the cycle everywhere.  Its amplitude is the section reading
+(the last maximum and minimum of ``|y|``) or the largest ``|y|`` among its
+samples, whichever is larger: at most about 1e-9 above the reading.
+:func:`amplitude_sweep` converges the same way at each point of a grid of
+nonlinearity values and keeps the section reading alone, with no period
+re-sampled, optionally across processes, recording per-point failures
+instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -370,17 +373,17 @@ def _section_event(direction: float):
     return crossing
 
 
-def limit_cycle(spec: OscillatorSpec,
-                config: Optional[IntegratorConfig] = None) -> CycleRecord:
-    """Converge onto the attracting limit cycle and sample one period.
+def _converge(spec: OscillatorSpec, cfg: IntegratorConfig):
+    """Transient and watch: converge onto the attracting cycle, sampling nothing.
 
     Convergence criterion: the amplitude read at successive downward section
     crossings (the maxima of ``y``) changes by less than ``cycle_tol``.  If
     ``max_cycles`` maxima pass without that happening, raises
-    :class:`~limitcycles.errors.ConvergenceError`; a returned record is
-    always converged.
+    :class:`~limitcycles.errors.ConvergenceError`.  Returns the section
+    amplitude (``|y|`` at the last maximum or minimum, the larger), the
+    period, the readings, the watch steps since the penultimate maximum and
+    the last two maxima as ``(times, states)``.
     """
-    cfg = config or IntegratorConfig()
     fun = spec.field_function()
     up, down = _section_event(1.0), _section_event(-1.0)
 
@@ -435,10 +438,23 @@ def limit_cycle(spec: OscillatorSpec,
             f"(last delta {abs(amps[-1] - amps[-2]):.3e}, tol {cfg.cycle_tol:.1e})"
         )
 
+    amplitude = max(amps[-1], up_abs[-1] if up_abs else 0.0)
+    period = down_t[-1] - down_t[-2]
+    return amplitude, period, amps, steps, (down_t[-2:], down_states[-2:])
+
+
+def limit_cycle(spec: OscillatorSpec,
+                config: Optional[IntegratorConfig] = None) -> CycleRecord:
+    """Converge onto the attracting limit cycle by :func:`_converge` (a
+    returned record is always converged) and sample one more period from the
+    penultimate maximum.  ``amplitude`` also folds in ``max |y|`` over the
+    samples, so it sits at most about 1e-9 above the section reading."""
+    cfg = config or IntegratorConfig()
+    section, period, amps, steps, (down_t, down_states) = _converge(spec, cfg)
+
     # one anchored period from the penultimate maximum, re-sampled evenly in
     # arclength: the watch steps between the last two maxima give the chord
     # length as a function of time, inverted by linear interpolation
-    period = down_t[-1] - down_t[-2]
     anchor = down_states[-2]
     path = np.hstack(steps)
     inside = (path[0] > down_t[-2]) & (path[0] < down_t[-1])
@@ -446,11 +462,11 @@ def limit_cycle(spec: OscillatorSpec,
     points = np.vstack([anchor, path[1:, inside].T, down_states[-1]])
     length = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(points, axis=0).T))])
     t_eval = np.interp(np.linspace(0.0, length[-1], cfg.n_samples), length, times)
-    sol = _solve(fun, (0.0, period), anchor, cfg, t_eval=t_eval)
+    sol = _solve(spec.field_function(), (0.0, period), anchor, cfg, t_eval=t_eval)
     y, z = sol.y
     state_gap = float(np.max(np.abs(sol.y[:, -1] - anchor)))
 
-    amplitude = max(float(np.max(np.abs(y))), amps[-1], up_abs[-1] if up_abs else 0.0)
+    amplitude = max(float(np.max(np.abs(y))), section)
     return CycleRecord(
         kind=spec.kind, epsilon=spec.epsilon, amplitude=amplitude, period=period,
         t=sol.t, y=y, z=z, converged=True, cycles_used=len(amps),
@@ -461,8 +477,7 @@ def limit_cycle(spec: OscillatorSpec,
 def _sweep_point(args) -> Tuple[int, float, str]:
     index, kind, eps, config = args
     try:
-        record = limit_cycle(OscillatorSpec(kind, eps), config)
-        return index, record.amplitude, ""
+        return index, _converge(OscillatorSpec(kind, eps), config)[0], ""
     except Exception as exc:  # any failure stays in its grid slot
         return index, math.nan, f"{type(exc).__name__}: {exc}"
 
@@ -476,7 +491,10 @@ def amplitude_sweep(
 ) -> AmplitudeCurve:
     """Limit-cycle amplitude over a grid of nonlinearity values.
 
-    ``jobs`` is at least 1; ``jobs > 1`` distributes grid points over
+    Each point is the section reading of :func:`_converge`: the transient
+    and watch of :func:`limit_cycle` without its re-sampled period, so it
+    sits at most about 1e-9 below that record's ``amplitude``, which also
+    folds in its samples.  ``jobs`` is at least 1; ``jobs > 1`` distributes grid points over
     worker processes (named oscillator kinds only — custom callables do not
     cross process boundaries).  Output ordering matches ``eps_values``
     regardless of worker scheduling.

@@ -100,6 +100,18 @@ class TestAmplitudeCommand:
         assert record["amplitude"] == pytest.approx(2.17271, abs=0.002)
         assert record["period"] == pytest.approx(6.663, abs=0.01)
 
+    def test_exact_is_the_sweep_reading(self, cli, tmp_path):
+        result = cli(
+            "amplitude", "--system", "vdp", "--eps", "3", "--method", "exact",
+        )
+        assert result.returncode == 0, result.stderr
+        record = json.loads(
+            (tmp_path / "amplitude_vanderpol_exact_eps3.json").read_text()
+        )
+        swept = integrator.amplitude_sweep("vanderpol", [3.0]).amplitude[0]
+        assert record["amplitude"] == swept
+        assert record["cycles_used"] >= 2
+
     def test_calibrated_closed_form_matches_anchor(self, cli):
         result = cli(
             "amplitude", "--system", "rayleigh", "--eps", "1",
@@ -421,6 +433,43 @@ class TestReportCommand:
         # so is the reading of the published amplitude maximum as a hump
         # value, set against the fit's hump location
         assert "amplitude maximum" in notes
+
+    def test_anchors_state_the_comparison_rows(self, cli, tmp_path):
+        # Rayleigh 1 and van der Pol 1 lie on the report grids; Rayleigh 7
+        # lies off this config's grid and is read as a sweep point would be
+        config = RunConfig(eps_grid=(0.5, 1.0), output_dir=str(tmp_path / "bundle"))
+        (tmp_path / "run.json").write_text(config.to_json())
+        result = cli("report", "--config", "run.json")
+        assert result.returncode == 0, result.stderr
+        bundle = tmp_path / "bundle"
+        cells = {}
+        for system, name in (("rayleigh", "rayleigh_comparison.csv"),
+                             ("vanderpol", "vdp_comparison.csv")):
+            with open(bundle / name, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    cells[system, float(row["eps"])] = row["a_exact"]
+        anchors = json.loads((bundle / "anchors.json").read_text())
+        assert [(a["system"], a["eps"]) for a in anchors] == [
+            ("rayleigh", 1.0), ("rayleigh", 7.0), ("vanderpol", 1.0),
+        ]
+        for anchor in anchors:
+            key = anchor["system"], anchor["eps"]
+            if key in cells:
+                assert f"{anchor['amplitude']:.11e}" == cells[key]
+            else:
+                swept = integrator.amplitude_sweep(key[0], [key[1]]).amplitude[0]
+                assert anchor["amplitude"] == swept
+
+    def test_failed_anchor_fails_before_writing(self, cli, tmp_path):
+        config = {"integrator": {"transient_time": 0.0, "max_cycles": 2, "cycle_tol": 1e-16}}
+        (tmp_path / "bad.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        out.mkdir()
+        result = cli("report", "--config", "bad.json", "--output-dir", str(out))
+        assert result.returncode == 2
+        assert "anchor rayleigh eps=1" in result.stderr
+        assert "not settled" in result.stderr
+        assert list(out.iterdir()) == []
 
 
 class TestRunConfig:

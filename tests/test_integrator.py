@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 
 import limitcycles.integrator as integrator
@@ -193,14 +195,14 @@ def test_sweep_records_failures_without_aborting():
 def test_sweep_keeps_any_point_failure_in_its_slot(monkeypatch):
     # a failure outside ConvergenceError/DomainError (here an overflow trap)
     # must land in the error column, not abort the other grid points
-    real = integrator.limit_cycle
+    real = integrator._converge
 
-    def flaky(spec, config=None, **kw):
+    def flaky(spec, config):
         if spec.epsilon == 1.0:
             raise FloatingPointError("overflow encountered in multiply")
-        return real(spec, config, **kw)
+        return real(spec, config)
 
-    monkeypatch.setattr(integrator, "limit_cycle", flaky)
+    monkeypatch.setattr(integrator, "_converge", flaky)
     curve = amplitude_sweep("rayleigh", [0.5, 1.0, 1.5])
     assert np.isfinite(curve.amplitude[[0, 2]]).all()
     assert math.isnan(curve.amplitude[1])
@@ -209,6 +211,34 @@ def test_sweep_keeps_any_point_failure_in_its_slot(monkeypatch):
         "FloatingPointError: overflow encountered in multiply",
         "",
     )
+
+
+def test_sweep_never_samples_a_period(monkeypatch):
+    # a sweep keeps only the section reading, so no solver call of it passes
+    # t_eval; limit_cycle samples its one period in exactly one call
+    calls = []
+    real = integrator.solve_ivp
+
+    def recording(*args, **kw):
+        calls.append(kw)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(integrator, "solve_ivp", recording)
+    amplitude_sweep("vanderpol", [0.5, 5.0])
+    assert calls and all(kw.get("t_eval") is None for kw in calls)
+    calls.clear()
+    limit_cycle(OscillatorSpec.van_der_pol(5.0))
+    assert sum(kw.get("t_eval") is not None for kw in calls) == 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["rayleigh", "vanderpol"]), st.floats(0.3, 50.0))
+def test_sweep_point_is_the_section_reading_under_the_record(kind, eps):
+    # the record folds its own samples into the section amplitude, which
+    # lifts it by at most about 1e-9
+    rec = limit_cycle(OscillatorSpec(kind, eps))
+    swept = amplitude_sweep(kind, [eps]).amplitude[0]
+    assert rec.history[-1] <= swept <= rec.amplitude <= swept + 1e-9
 
 
 def test_sweep_serial_and_parallel_agree():
