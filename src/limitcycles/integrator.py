@@ -10,8 +10,10 @@ step, error norm and step-size control, so it takes scipy's steps with
 scipy's ``nfev``.  On each accepted step it applies scipy's event sign test,
 finds each crossing with :func:`brentq` (a float port of scipy's) on the
 step's quartic interpolant, and fills in the ``t_eval`` samples inside the
-step; a sample at the step's end takes the step's own state.  No path here
-imports scipy; the worker pool loads only when ``jobs > 1``.
+step; a sample at the step's end takes the step's own state.  The stage
+tuples and the interpolant are built only on a step with a crossing or a
+sample.  No path here imports scipy; the worker pool loads only when
+``jobs > 1``.
 
 :func:`limit_cycle` integrates past a transient of ``max(50, 2*epsilon)``
 time units (about one relaxation period at large epsilon, where the cycle
@@ -22,7 +24,7 @@ evenly spaced in arclength, so van der Pol's fast relaxation jumps get as
 many samples as their length asks for and the polygon through the samples
 stays close to the cycle everywhere.  Its amplitude is the section reading
 (the last maximum and minimum of ``|y|``) or the largest ``|y|`` among its
-samples, whichever is larger: at most about 1e-9 above the reading.
+samples, whichever is larger: above the reading by at most about 1e-10 of it.
 :func:`amplitude_sweep` converges the same way at each point of a grid of
 nonlinearity values and keeps the section reading alone, with no period
 re-sampled, optionally across processes, recording per-point failures
@@ -249,8 +251,8 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
     _, c2, c3, c4, c5, c6 = _C
     _, (a21, *_), (a31, a32, *_), (a41, a42, a43, *_), (a51, a52, a53, a54, _), (
         a61, a62, a63, a64, a65) = _A
-    b1, b2, b3, b4, b5, b6 = _B
-    e1, e2, e3, e4, e5, e6, e7 = _E
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
 
     # the initial step as scipy's select_initial_step picks it (error order 4)
     k1y, k1z = fun(t, (y, z))
@@ -266,13 +268,15 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
         h_abs = min(100 * h0, h1, span)
 
     samples = [] if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
+    n_samples = len(samples)
     ts, ys, zs = ([t], [y], [z]) if t_eval is None else ([], [], [])
-    events = list(events or ())
-    g = [event(t, (y, z)) for event in events]
-    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    watched = [(i, e, getattr(e, "direction", 0)) for i, e in enumerate(events or ())]
+    g = [e(t, (y, z)) for _, e, _ in watched]
+    t_events, y_events = [[] for _ in watched], [[] for _ in watched]
+    beyond = direction * math.inf
     message = None  # scipy's status: None while running
     while message is None and direction * (t - tf) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, beyond) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:  # attempt steps until one passes the RMS error test
             if not h_abs >= min_step:  # a NaN step fails here too
@@ -294,13 +298,14 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
             k6y, k6z = fun(t + c6 * h, (
                 y + (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h,
                 z + (a61 * k1z + a62 * k2z + a63 * k3z + a64 * k4z + a65 * k5z) * h))
-            y_new = y + h * (b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
-            z_new = z + h * (b1 * k1z + b2 * k2z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z)
+            # b2 = e2 = 0: a finite k2 adds a zero, which can flip only an all-zero sum
+            y_new = y + h * (b1 * k1y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
+            z_new = z + h * (b1 * k1z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z)
             k7y, k7z = fun(t + h, (y_new, z_new))
             nfev += 6
-            err_y = (e1 * k1y + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y
+            err_y = (e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y
                      + e7 * k7y) * h / (atol + max(abs(y), abs(y_new)) * rtol)
-            err_z = (e1 * k1z + e2 * k2z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z
+            err_z = (e1 * k1z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z
                      + e7 * k7z) * h / (atol + max(abs(z), abs(z_new)) * rtol)
             # RMS norm; an ulp's change in this rounding moves cycle samples by ~1e-8
             error_norm = math.sqrt(0.5 * (err_y * err_y + err_z * err_z))
@@ -313,24 +318,28 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
             break
 
         t_old, y_old, z_old, t, y, z = t, y, z, t_new, y_new, z_new
-        stages = (k1y, k2y, k3y, k4y, k5y, k6y, k7y), (k1z, k2z, k3z, k4z, k5z, k6z, k7z)
-        k1y, k1z, sol = k7y, k7z, None
-        for i, event in enumerate(events):  # scipy's find_active_events, per event
-            g_old, g[i] = g[i], event(t, (y, z))
-            up, down = g_old <= 0 <= g[i], g_old >= 0 >= g[i]
-            sense = getattr(event, "direction", 0)
-            if (up and sense >= 0) or (down and sense <= 0):
-                sol = sol or _dense_output(t_old, h, y_old, z_old, *stages)
+        sol = None  # the step's interpolant, built at its first crossing or sample
+        for i, event, sense in watched:  # scipy's find_active_events, per event
+            g_old, g_new = g[i], event(t, (y, z))
+            g[i] = g_new
+            if (g_old <= 0 <= g_new and sense >= 0) or (g_old >= 0 >= g_new and sense <= 0):
+                sol = sol or _dense_output(t_old, h, y_old, z_old, (
+                    k1y, k2y, k3y, k4y, k5y, k6y, k7y), (k1z, k2z, k3z, k4z, k5z, k6z, k7z))
                 root = brentq(lambda s: event(s, sol(s)), t_old, t, 4 * _EPS, 4 * _EPS)
                 t_events[i].append(root)
                 y_events[i].append(sol(root))
         if t_eval is None:
-            ts.append(t), ys.append(y), zs.append(z)
-        while len(ts) < len(samples) and direction * (samples[len(ts)] - t) <= 0:
-            s = samples[len(ts)]
-            sol = sol or _dense_output(t_old, h, y_old, z_old, *stages)
-            s_y, s_z = (y, z) if s == t else sol(s)  # the step's end takes its own state
-            ts.append(s), ys.append(s_y), zs.append(s_z)
+            ts.append(t)
+            ys.append(y)
+            zs.append(z)
+        else:
+            while len(ts) < n_samples and direction * (samples[len(ts)] - t) <= 0:
+                s = samples[len(ts)]
+                sol = sol or _dense_output(t_old, h, y_old, z_old, (
+                    k1y, k2y, k3y, k4y, k5y, k6y, k7y), (k1z, k2z, k3z, k4z, k5z, k6z, k7z))
+                s_y, s_z = (y, z) if s == t else sol(s)  # the step's end takes its own state
+                ts.append(s), ys.append(s_y), zs.append(s_z)
+        k1y, k1z = k7y, k7z
 
     finished = "The solver successfully reached the end of the integration interval."
     return SimpleNamespace(  # the fields of scipy's OdeResult read here
@@ -356,8 +365,8 @@ def integrate(
     """Integrate from ``seed`` over ``[0, t_final]``; the output holds the
     solver's own accepted steps."""
     cfg = config or IntegratorConfig()
-    if t_final <= 0:
-        raise DomainError("t_final must be positive")
+    if not 0 < t_final < math.inf:  # NaN fails here too
+        raise DomainError(f"t_final must be positive and finite, got {t_final!r}")
     state = np.asarray(seed if seed is not None else cfg.seed, dtype=float)
     sol = _solve(spec.field_function(), (0.0, t_final), state, cfg)
     return Trajectory(sol.t, sol.y[0], sol.y[1])
@@ -448,7 +457,7 @@ def limit_cycle(spec: OscillatorSpec,
     """Converge onto the attracting limit cycle by :func:`_converge` (a
     returned record is always converged) and sample one more period from the
     penultimate maximum.  ``amplitude`` also folds in ``max |y|`` over the
-    samples, so it sits at most about 1e-9 above the section reading."""
+    samples, so it exceeds the section reading by at most about 1e-10 of it."""
     cfg = config or IntegratorConfig()
     section, period, amps, steps, (down_t, down_states) = _converge(spec, cfg)
 
@@ -493,11 +502,11 @@ def amplitude_sweep(
 
     Each point is the section reading of :func:`_converge`: the transient
     and watch of :func:`limit_cycle` without its re-sampled period, so it
-    sits at most about 1e-9 below that record's ``amplitude``, which also
-    folds in its samples.  ``jobs`` is at least 1; ``jobs > 1`` distributes grid points over
-    worker processes (named oscillator kinds only — custom callables do not
-    cross process boundaries).  Output ordering matches ``eps_values``
-    regardless of worker scheduling.
+    sits below that record's ``amplitude``, which also folds in its samples,
+    by at most about 1e-10 of it.  ``jobs`` is at least 1; ``jobs > 1``
+    distributes grid points over worker processes (named oscillator kinds
+    only — custom callables do not cross process boundaries).  Output
+    ordering matches ``eps_values`` regardless of worker scheduling.
     """
     cfg = config or IntegratorConfig()
     if kind == LIENARD:

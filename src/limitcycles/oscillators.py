@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DomainError
 
@@ -80,26 +78,27 @@ class OscillatorSpec:
 
     # -- vector field ----------------------------------------------------------
 
-    def field_function(self) -> Callable[[float, np.ndarray], list]:
-        """Right-hand side ``fun(t, state)`` suitable for ODE solvers."""
+    def field_function(self) -> Callable[[float, Sequence[float]], Tuple[float, float]]:
+        """Right-hand side ``fun(t, (y, z))`` for ODE solvers, returning the
+        tuple ``(dy, dz)``."""
         eps = self.epsilon
         if self.kind == RAYLEIGH:
 
             def fun(t, state):
                 y, z = state
-                return [z, eps * (z - z * z * z / 3.0) - y]
+                return z, eps * (z - z * z * z / 3.0) - y
 
         elif self.kind == VAN_DER_POL:
 
             def fun(t, state):
                 y, z = state
-                return [z, eps * z * (1.0 - y * y) - y]
+                return z, eps * z * (1.0 - y * y) - y
 
         else:
             f, g = self.damping, self.restoring
 
             def fun(t, state):
                 y, z = state
-                return [z, -eps * f(y, z) - g(y)]
+                return z, -eps * f(y, z) - g(y)
 
         return fun

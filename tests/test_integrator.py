@@ -6,10 +6,11 @@ import csv
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 
@@ -26,6 +27,7 @@ from limitcycles.integrator import (
     integrate,
     limit_cycle,
 )
+from limitcycles.integrator import _A, _B, _C, _E, _EPS, _dense_output, _rms, brentq
 from limitcycles.oscillators import OscillatorSpec
 
 
@@ -68,6 +70,18 @@ def test_integrate_shapes_and_validation():
     assert (traj.y[0], traj.z[0]) == (2.0, 0.0)
     with pytest.raises(DomainError):
         integrate(spec, 0.0)
+
+
+@pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf])
+def test_integrate_refuses_a_non_finite_end_time(monkeypatch, t_final):
+    # NaN passes a `<= 0` check, and a NaN span used to come back as the
+    # seed alone; an infinite span would step forever
+    def refuse(*args, **kw):
+        raise AssertionError("integrator.solve_ivp was called")
+
+    monkeypatch.setattr(integrator, "solve_ivp", refuse)
+    with pytest.raises(DomainError, match="positive and finite"):
+        integrate(OscillatorSpec.van_der_pol(1.0), t_final)
 
 
 def test_harmonic_oscillator_recovers_circle():
@@ -233,12 +247,15 @@ def test_sweep_never_samples_a_period(monkeypatch):
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(["rayleigh", "vanderpol"]), st.floats(0.3, 50.0))
+@example("rayleigh", 29.358345544466555)  # lifted by 1.05e-9, 5.2e-11 of it
 def test_sweep_point_is_the_section_reading_under_the_record(kind, eps):
-    # the record folds its own samples into the section amplitude, which
-    # lifts it by at most about 1e-9
+    # the record folds its own samples into the section amplitude; a sample
+    # overshoots the section reading at rel_tol = 1e-9, so the lift scales
+    # with |y|: at most 7.0e-11 of the reading over 169 records of both
+    # systems with eps in [0.3, 50]
     rec = limit_cycle(OscillatorSpec(kind, eps))
     swept = amplitude_sweep(kind, [eps]).amplitude[0]
-    assert rec.history[-1] <= swept <= rec.amplitude <= swept + 1e-9
+    assert rec.history[-1] <= swept <= rec.amplitude <= swept * (1 + 1e-10)
 
 
 def test_sweep_serial_and_parallel_agree():
@@ -430,6 +447,175 @@ def test_unrolled_interpolant_is_the_generator_sum():
         ours, ref = integrator._dense_output(*args), _generator_sum_dense_output(*args)
         for s in (t_old, t_old + h, t_old + rng.random() * h):
             assert repr(ours(s)) == repr(ref(s))
+
+
+# -- the trimmed loop against the loop it replaced ---------------------------
+
+
+def reference_solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
+    """The float RK45 loop before its per-step trims, kept verbatim as the
+    oracle: it builds the stage tuples and looks up each event's direction on
+    every step, and multiplies ``k2`` by the zero weights ``b2`` and ``e2``."""
+    t, tf = map(float, t_span)
+    y, z = map(float, y0)
+    rtol, atol = max(float(rtol), 100 * _EPS), float(atol)  # scipy's rtol floor
+    direction = -1.0 if tf < t else 1.0
+    _, c2, c3, c4, c5, c6 = _C
+    _, (a21, *_), (a31, a32, *_), (a41, a42, a43, *_), (a51, a52, a53, a54, _), (
+        a61, a62, a63, a64, a65) = _A
+    b1, b2, b3, b4, b5, b6 = _B
+    e1, e2, e3, e4, e5, e6, e7 = _E
+
+    # the initial step as scipy's select_initial_step picks it (error order 4)
+    k1y, k1z = fun(t, (y, z))
+    nfev, span, h_abs = 1, abs(tf - t), 0.0
+    if span > 0:
+        sy, sz = atol + abs(y) * rtol, atol + abs(z) * rtol
+        d0, d1 = _rms(y / sy, z / sz), _rms(k1y / sy, k1z / sz)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+        fy, fz = fun(t + h0 * direction, (y + h0 * direction * k1y, z + h0 * direction * k1z))
+        nfev += 1
+        d2 = _rms((fy - k1y) / sy, (fz - k1z) / sz) / h0
+        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+        h_abs = min(100 * h0, h1, span)
+
+    samples = [] if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
+    ts, ys, zs = ([t], [y], [z]) if t_eval is None else ([], [], [])
+    events = list(events or ())
+    g = [event(t, (y, z)) for event in events]
+    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    message = None  # scipy's status: None while running
+    while message is None and direction * (t - tf) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:  # attempt steps until one passes the RMS error test
+            if not h_abs >= min_step:  # a NaN step fails here too
+                message = "Required step size is less than spacing between numbers."
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = abs(h)
+            k2y, k2z = fun(t + c2 * h, (y + a21 * k1y * h, z + a21 * k1z * h))
+            k3y, k3z = fun(t + c3 * h, (y + (a31 * k1y + a32 * k2y) * h,
+                                        z + (a31 * k1z + a32 * k2z) * h))
+            k4y, k4z = fun(t + c4 * h, (y + (a41 * k1y + a42 * k2y + a43 * k3y) * h,
+                                        z + (a41 * k1z + a42 * k2z + a43 * k3z) * h))
+            k5y, k5z = fun(t + c5 * h, (
+                y + (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y) * h,
+                z + (a51 * k1z + a52 * k2z + a53 * k3z + a54 * k4z) * h))
+            k6y, k6z = fun(t + c6 * h, (
+                y + (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h,
+                z + (a61 * k1z + a62 * k2z + a63 * k3z + a64 * k4z + a65 * k5z) * h))
+            y_new = y + h * (b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
+            z_new = z + h * (b1 * k1z + b2 * k2z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z)
+            k7y, k7z = fun(t + h, (y_new, z_new))
+            nfev += 6
+            err_y = (e1 * k1y + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y
+                     + e7 * k7y) * h / (atol + max(abs(y), abs(y_new)) * rtol)
+            err_z = (e1 * k1z + e2 * k2z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z
+                     + e7 * k7z) * h / (atol + max(abs(z), abs(z_new)) * rtol)
+            # RMS norm; an ulp's change in this rounding moves cycle samples by ~1e-8
+            error_norm = math.sqrt(0.5 * (err_y * err_y + err_z * err_z))
+            if error_norm < 1:
+                factor = 10.0 if error_norm == 0 else min(10.0, 0.9 * error_norm**-0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * error_norm**-0.2), True
+        if message:
+            break
+
+        t_old, y_old, z_old, t, y, z = t, y, z, t_new, y_new, z_new
+        stages = (k1y, k2y, k3y, k4y, k5y, k6y, k7y), (k1z, k2z, k3z, k4z, k5z, k6z, k7z)
+        k1y, k1z, sol = k7y, k7z, None
+        for i, event in enumerate(events):  # scipy's find_active_events, per event
+            g_old, g[i] = g[i], event(t, (y, z))
+            up, down = g_old <= 0 <= g[i], g_old >= 0 >= g[i]
+            sense = getattr(event, "direction", 0)
+            if (up and sense >= 0) or (down and sense <= 0):
+                sol = sol or _dense_output(t_old, h, y_old, z_old, *stages)
+                root = brentq(lambda s: event(s, sol(s)), t_old, t, 4 * _EPS, 4 * _EPS)
+                t_events[i].append(root)
+                y_events[i].append(sol(root))
+        if t_eval is None:
+            ts.append(t), ys.append(y), zs.append(z)
+        while len(ts) < len(samples) and direction * (samples[len(ts)] - t) <= 0:
+            s = samples[len(ts)]
+            sol = sol or _dense_output(t_old, h, y_old, z_old, *stages)
+            s_y, s_z = (y, z) if s == t else sol(s)  # the step's end takes its own state
+            ts.append(s), ys.append(s_y), zs.append(s_z)
+
+    finished = "The solver successfully reached the end of the integration interval."
+    return SimpleNamespace(  # the fields of scipy's OdeResult read here
+        t=np.array(ts), y=np.array((ys, zs)), t_events=[np.array(te) for te in t_events],
+        y_events=[np.array(ye) for ye in y_events], nfev=nfev, success=message is None,
+        message=message or finished)
+
+
+def _vdp_as_callables(eps):
+    return OscillatorSpec.lienard(eps, lambda y, z: z * (y * y - 1.0), lambda y: y)
+
+
+def _call_shape(shape, t_span):
+    if shape == "events":
+        return {"events": [integrator._section_event(1.0), integrator._section_event(-1.0)]}
+    if shape == "t_eval":
+        return {"t_eval": np.linspace(*t_span, 500)}
+    return {}
+
+
+def _field_repr(sol, name):
+    value = getattr(sol, name)
+    if isinstance(value, list):
+        value = [v.tolist() for v in value]
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+def _assert_same_solution(fun, t_span, y0, shape, **kw):
+    # each float compared by its exact repr; only the names of the fields
+    # that differ are reported, since a diff of such long strings takes minutes
+    kw.update(_call_shape(shape, t_span))
+    ours = integrator.solve_ivp(fun, t_span, y0, **kw)
+    ref = reference_solve_ivp(fun, t_span, y0, **kw)
+    fields = ("t", "y", "t_events", "y_events", "nfev", "success", "message")
+    assert [f for f in fields if _field_repr(ours, f) != _field_repr(ref, f)] == []
+    return ours
+
+
+@pytest.mark.parametrize("shape", ["plain", "events", "t_eval"])
+@pytest.mark.parametrize("eps", [0.1, 1.0, 5.0, 50.0])
+@pytest.mark.parametrize("kind", ["rayleigh", "vanderpol", "lienard"])
+def test_trimmed_loop_is_the_reference_loop_bit_for_bit(kind, eps, shape):
+    # the three call shapes of limit_cycle: transient, watch and resample
+    spec = _vdp_as_callables(eps) if kind == "lienard" else OscillatorSpec(kind, eps)
+    cfg = IntegratorConfig()
+    sol = _assert_same_solution(spec.field_function(), (0.0, cfg.transient_for(eps)),
+                                cfg.seed, shape, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    assert sol.success
+    if shape == "events":
+        assert all(len(t) for t in sol.t_events)
+
+
+def _blow_up(t, state):
+    return state[0] * state[0], -state[1]
+
+
+def _nan_field(t, state):
+    return math.nan, state[0]
+
+
+@pytest.mark.parametrize("shape", ["plain", "events", "t_eval"])
+@pytest.mark.parametrize("fun, t_span, y0", [
+    (_blow_up, (0.0, 2.0), (1.0, 1.0)),
+    (_blow_up, (0.0, -2.0), (-1.0, 1.0)),
+    (_nan_field, (0.0, 1.0), (2.0, 0.0)),
+    # the equilibrium from signed zeros, where a dropped zero term could
+    # show only in the sign of a zero
+    (OscillatorSpec.van_der_pol(1.0).field_function(), (0.0, 10.0), (-0.0, -0.0)),
+], ids=["blow-up-forward", "blow-up-backward", "nan-field", "signed-zero-origin"])
+def test_trimmed_loop_is_the_reference_loop_on_degenerate_fields(fun, t_span, y0, shape):
+    _assert_same_solution(fun, t_span, y0, shape, rtol=1e-9, atol=1e-11)
 
 
 def test_watch_from_a_point_on_the_section_matches_scipy():
