@@ -125,6 +125,8 @@ class RunConfig:
             raise DomainError("eps_grid must be strictly increasing")
         if self.irgm_preset is not None:
             get_preset(self.irgm_preset)  # an unknown name raises
+        if None in (self.integrator, self.ham_control):
+            raise DomainError("integrator and ham_control must be JSON objects")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,8 +134,6 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Inverse of :meth:`to_dict`; a missing key keeps its default."""
-        if not isinstance(data, dict):
-            raise DomainError("a run config must be a JSON object")
         return _from_plain(cls(), data)
 
     def to_json(self) -> str:
@@ -144,16 +144,18 @@ class RunConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _from_plain(default, value):
+def _from_plain(default, value, name="a run config"):
     """Rebuild JSON ``value`` in the shape of ``default``: objects update the
     default dataclass field by field, lists become tuples."""
-    if isinstance(value, list):
-        return tuple(_from_plain(None, v) for v in value)
-    if isinstance(value, dict) and is_dataclass(default):
+    if is_dataclass(default) and value is not None:  # null turns an optional part off
+        if not isinstance(value, dict):
+            raise DomainError(f"{name} must be a JSON object, got {value!r}")
         return replace(
             default,
-            **{k: _from_plain(getattr(default, k, None), v) for k, v in value.items()},
+            **{k: _from_plain(getattr(default, k, None), v, k) for k, v in value.items()},
         )
+    if isinstance(value, list):
+        return tuple(_from_plain(None, v) for v in value)
     return value
 
 
@@ -162,7 +164,9 @@ def _load_config(path: Optional[str]) -> RunConfig:
         return RunConfig()
     try:
         return RunConfig.from_json(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
+    except DomainError:  # a refused value says so itself
+        raise
+    except (OSError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise DomainError(f"cannot read config {path}: {exc}") from None
 
 
@@ -329,22 +333,23 @@ def _resolve_output_dir(flag_value: Optional[str]) -> Path:
 def _parse_grid(text: str) -> Tuple[float, ...]:
     """Either a comma list (``0.5,1,2``) or ``start:stop:step`` inclusive."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise DomainError(f"bad grid range {text!r}")
-        n = int(round((stop - start) / step))
-        values = [start + i * step for i in range(n + 1)]
-        if values[-1] > stop + 1e-9 * step:
-            values.pop()
-        return tuple(round(v, 12) for v in values)
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
+    ranged = ":" in text
+    try:  # a range keeps its empty parts, which fail here
+        parts = [float(p) for p in text.split(":" if ranged else ",") if ranged or p.strip()]
     except ValueError:
         raise DomainError(f"cannot parse grid {text!r}") from None
+    if not ranged:
+        return tuple(parts)
+    if len(parts) != 3:
+        raise DomainError(f"grid range must be start:stop:step, got {text!r}")
+    start, stop, step = parts
+    if not all(map(math.isfinite, parts)) or step <= 0 or stop < start:
+        raise DomainError(f"bad grid range {text!r}")
+    n = int(round((stop - start) / step))
+    values = [start + i * step for i in range(n + 1)]
+    if values[-1] > stop + 1e-9 * step:
+        values.pop()
+    return tuple(round(v, 12) for v in values)
 
 
 _PLOT_SAMPLES = 120  # points per piece in a plotted curve

@@ -4,16 +4,19 @@ Cycle structure comes from the Poincare section ``z = y' = 0``: the extrema
 of ``y`` sit exactly on that section, so event location gives amplitude
 readings without any extra peak interpolation.
 
-:func:`solve_ivp` runs RK45 as one loop over Python floats on the ``(y, z)``
-pair.  It keeps scipy's RK45 (Dormand-Prince 5(4)): the tableau, initial
-step, error norm and step-size control, so it takes scipy's steps with
-scipy's ``nfev``.  On each accepted step it applies scipy's event sign test,
-finds each crossing with :func:`brentq` (a float port of scipy's) on the
-step's quartic interpolant, and fills in the ``t_eval`` samples inside the
-step; a sample at the step's end takes the step's own state.  The stage
-tuples and the interpolant are built only on a step with a crossing or a
-sample.  No path here imports scipy; the worker pool loads only when
-``jobs > 1``.
+:func:`solve_ivp` runs RK45 forward over a span as one loop over Python
+floats on the ``(y, z)`` pair.  It keeps scipy's RK45 (Dormand-Prince 5(4)):
+the tableau, initial step, error norm and step-size control, so it takes
+scipy's steps with scipy's ``nfev``.  On each accepted step it applies
+scipy's event sign test to ``z`` for each requested sense of ``z = 0``
+crossing, finds each crossing with :func:`brentq` (a float port of scipy's)
+on the step's quartic interpolant, and fills in the ``t_eval`` samples
+inside the step; a sample at the step's end takes the step's own state.
+The stage tuples and the interpolant are built only on a step with a
+crossing or a sample.  A backward or empty span, or a grid outside the span
+or out of order, is refused before the first evaluation, and a step that
+falls below scipy's 10-ulp floor raises.  No path here imports scipy; the
+worker pool loads only when ``jobs > 1``.
 
 :func:`limit_cycle` integrates past a transient of ``max(50, 2*epsilon)``
 time units (about one relaxation period at large epsilon, where the cycle
@@ -85,6 +88,8 @@ class IntegratorConfig:
             raise DomainError("n_samples must be at least 8")
         if self.transient_time is not None and not 0 <= self.transient_time < math.inf:
             raise DomainError("transient_time must be nonnegative and finite")
+        if len(self.seed) != 2:
+            raise DomainError(f"seed must be a (y, z) pair, got {self.seed!r}")
         if not (all(map(math.isfinite, self.seed)) and any(self.seed)):
             raise DomainError(f"seed must be finite and not the origin, got {self.seed!r}")
 
@@ -240,14 +245,20 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / 2**0.5
 
 
-def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
-    """Integrate ``fun(t, (y, z))`` over ``t_span`` by the float RK45 loop of
-    the module docstring: its events never terminate, and ``t_eval`` lies in
-    ``t_span`` in integration order."""
+def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
+    """Integrate ``fun(t, (y, z))`` forward over ``t_span`` by the float RK45
+    loop of the module docstring.  ``events`` holds the senses of the ``z = 0``
+    crossings to find (``1.0`` upward, ``-1.0`` downward, ``0.0`` both), one
+    ``t_events`` and ``y_events`` entry each; ``t_eval`` lies in ``t_span`` in
+    non-decreasing order."""
     t, tf = map(float, t_span)
+    samples = [] if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
+    if not -math.inf < t < tf < math.inf:  # NaN fails here too
+        raise DomainError(f"t_span must run forward between finite ends, got {t_span!r}")
+    if not all(a <= b for a, b in zip([t, *samples], [*samples, tf])):
+        raise DomainError("t_eval must lie in t_span in non-decreasing order")
     y, z = map(float, y0)
     rtol, atol = max(float(rtol), 100 * _EPS), float(atol)  # scipy's rtol floor
-    direction = -1.0 if tf < t else 1.0
     _, c2, c3, c4, c5, c6 = _C
     _, (a21, *_), (a31, a32, *_), (a41, a42, a43, *_), (a51, a52, a53, a54, _), (
         a61, a62, a63, a64, a65) = _A
@@ -256,37 +267,27 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
 
     # the initial step as scipy's select_initial_step picks it (error order 4)
     k1y, k1z = fun(t, (y, z))
-    nfev, span, h_abs = 1, abs(tf - t), 0.0
-    if span > 0:
-        sy, sz = atol + abs(y) * rtol, atol + abs(z) * rtol
-        d0, d1 = _rms(y / sy, z / sz), _rms(k1y / sy, k1z / sz)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-        fy, fz = fun(t + h0 * direction, (y + h0 * direction * k1y, z + h0 * direction * k1z))
-        nfev += 1
-        d2 = _rms((fy - k1y) / sy, (fz - k1z) / sz) / h0
-        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
-        h_abs = min(100 * h0, h1, span)
+    sy, sz = atol + abs(y) * rtol, atol + abs(z) * rtol
+    d0, d1 = _rms(y / sy, z / sz), _rms(k1y / sy, k1z / sz)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tf - t)
+    fy, fz = fun(t + h0, (y + h0 * k1y, z + h0 * k1z))
+    nfev = 2
+    d2 = _rms((fy - k1y) / sy, (fz - k1z) / sz) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, tf - t)
 
-    samples = [] if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
     n_samples = len(samples)
     ts, ys, zs = ([t], [y], [z]) if t_eval is None else ([], [], [])
-    watched = [(i, e, getattr(e, "direction", 0)) for i, e in enumerate(events or ())]
-    g = [e(t, (y, z)) for _, e, _ in watched]
-    t_events, y_events = [[] for _ in watched], [[] for _ in watched]
-    beyond = direction * math.inf
-    message = None  # scipy's status: None while running
-    while message is None and direction * (t - tf) < 0:
-        min_step = 10 * abs(math.nextafter(t, beyond) - t)
+    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    while t < tf:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:  # attempt steps until one passes the RMS error test
             if not h_abs >= min_step:  # a NaN step fails here too
-                message = "Required step size is less than spacing between numbers."
-                break
-            t_new = t + h_abs * direction
-            if direction * (t_new - tf) > 0:
-                t_new = tf
-            h = t_new - t
-            h_abs = abs(h)
+                raise ConvergenceError("integration failed: Required step size "
+                                       "is less than spacing between numbers.")
+            t_new = min(t + h_abs, tf)
+            h = h_abs = t_new - t
             k2y, k2z = fun(t + c2 * h, (y + a21 * k1y * h, z + a21 * k1z * h))
             k3y, k3z = fun(t + c3 * h, (y + (a31 * k1y + a32 * k2y) * h,
                                         z + (a31 * k1z + a32 * k2z) * h))
@@ -314,18 +315,14 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
             h_abs, rejected = h_abs * max(0.2, 0.9 * error_norm**-0.2), True
-        if message:
-            break
 
         t_old, y_old, z_old, t, y, z = t, y, z, t_new, y_new, z_new
         sol = None  # the step's interpolant, built at its first crossing or sample
-        for i, event, sense in watched:  # scipy's find_active_events, per event
-            g_old, g_new = g[i], event(t, (y, z))
-            g[i] = g_new
-            if (g_old <= 0 <= g_new and sense >= 0) or (g_old >= 0 >= g_new and sense <= 0):
+        for i, sense in enumerate(events):  # scipy's find_active_events on z
+            if (z_old <= 0 <= z and sense >= 0) or (z_old >= 0 >= z and sense <= 0):
                 sol = sol or _dense_output(t_old, h, y_old, z_old, (
                     k1y, k2y, k3y, k4y, k5y, k6y, k7y), (k1z, k2z, k3z, k4z, k5z, k6z, k7z))
-                root = brentq(lambda s: event(s, sol(s)), t_old, t, 4 * _EPS, 4 * _EPS)
+                root = brentq(lambda s: sol(s)[1], t_old, t, 4 * _EPS, 4 * _EPS)
                 t_events[i].append(root)
                 y_events[i].append(sol(root))
         if t_eval is None:
@@ -333,7 +330,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
             ys.append(y)
             zs.append(z)
         else:
-            while len(ts) < n_samples and direction * (samples[len(ts)] - t) <= 0:
+            while len(ts) < n_samples and samples[len(ts)] <= t:
                 s = samples[len(ts)]
                 sol = sol or _dense_output(t_old, h, y_old, z_old, (
                     k1y, k2y, k3y, k4y, k5y, k6y, k7y), (k1z, k2z, k3z, k4z, k5z, k6z, k7z))
@@ -341,18 +338,9 @@ def solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
                 ts.append(s), ys.append(s_y), zs.append(s_z)
         k1y, k1z = k7y, k7z
 
-    finished = "The solver successfully reached the end of the integration interval."
     return SimpleNamespace(  # the fields of scipy's OdeResult read here
         t=np.array(ts), y=np.array((ys, zs)), t_events=[np.array(te) for te in t_events],
-        y_events=[np.array(ye) for ye in y_events], nfev=nfev, success=message is None,
-        message=message or finished)
-
-
-def _solve(fun, t_span, state, config: IntegratorConfig, **kw):
-    sol = solve_ivp(fun, t_span, state, rtol=config.rel_tol, atol=config.abs_tol, **kw)
-    if not sol.success:
-        raise ConvergenceError(f"integration failed: {sol.message}")
-    return sol
+        y_events=[np.array(ye) for ye in y_events], nfev=nfev)
 
 
 def integrate(
@@ -368,18 +356,8 @@ def integrate(
     if not 0 < t_final < math.inf:  # NaN fails here too
         raise DomainError(f"t_final must be positive and finite, got {t_final!r}")
     state = np.asarray(seed if seed is not None else cfg.seed, dtype=float)
-    sol = _solve(spec.field_function(), (0.0, t_final), state, cfg)
+    sol = solve_ivp(spec.field_function(), (0.0, t_final), state, cfg.rel_tol, cfg.abs_tol)
     return Trajectory(sol.t, sol.y[0], sol.y[1])
-
-
-def _section_event(direction: float):
-    """Poincare-section event: crossings of z = 0 in ``direction``."""
-
-    def crossing(t, state):
-        return state[1]
-
-    crossing.direction = direction
-    return crossing
 
 
 def _converge(spec: OscillatorSpec, cfg: IntegratorConfig):
@@ -394,13 +372,12 @@ def _converge(spec: OscillatorSpec, cfg: IntegratorConfig):
     the last two maxima as ``(times, states)``.
     """
     fun = spec.field_function()
-    up, down = _section_event(1.0), _section_event(-1.0)
 
     # pull the seed toward the cycle before watching the section
     state = np.asarray(cfg.seed, dtype=float)
     t_trans = cfg.transient_for(spec.epsilon)
     if t_trans > 0:
-        sol = _solve(fun, (0.0, t_trans), state, cfg)
+        sol = solve_ivp(fun, (0.0, t_trans), state, cfg.rel_tol, cfg.abs_tol)
         state = sol.y[:, -1]
 
     period_est = 2.0 * math.pi
@@ -413,7 +390,8 @@ def _converge(spec: OscillatorSpec, cfg: IntegratorConfig):
 
     while len(amps) < cfg.max_cycles:
         chunk = max(25.0, 3.0 * period_est)
-        sol = _solve(fun, (t_now, t_now + chunk), state, cfg, events=[up, down])
+        sol = solve_ivp(fun, (t_now, t_now + chunk), state, cfg.rel_tol, cfg.abs_tol,
+                        events=(1.0, -1.0))  # minima of y, then maxima
         t_up, t_dn = sol.t_events
         s_up, s_dn = sol.y_events
         room = cfg.max_cycles - len(amps)
@@ -471,7 +449,8 @@ def limit_cycle(spec: OscillatorSpec,
     points = np.vstack([anchor, path[1:, inside].T, down_states[-1]])
     length = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(points, axis=0).T))])
     t_eval = np.interp(np.linspace(0.0, length[-1], cfg.n_samples), length, times)
-    sol = _solve(spec.field_function(), (0.0, period), anchor, cfg, t_eval=t_eval)
+    sol = solve_ivp(spec.field_function(), (0.0, period), anchor, cfg.rel_tol,
+                    cfg.abs_tol, t_eval=t_eval)
     y, z = sol.y
     state_gap = float(np.max(np.abs(sol.y[:, -1] - anchor)))
 

@@ -293,8 +293,14 @@ class TestSweepCommand:
             # the equilibrium would pass as a converged cycle of amplitude 0
             ({"integrator": {"seed": [0.0, 0.0]}}, "seed must be finite and not the origin"),
             ({"integrator": {"seed": [math.nan, 0.0]}}, "seed must be finite"),
+            # each used to pass, and every exact point then failed in the CSV
+            ({"integrator": {"seed": [2]}}, "seed must be a (y, z) pair"),
+            ({"integrator": 5}, "integrator must be a JSON object"),
+            ({"integrator": None}, "integrator and ham_control must be JSON objects"),
+            ({"eps_grid": ["a"]}, "cannot read config"),
         ],
-        ids=["method", "rel_tol", "b_table", "seed_origin", "seed_nan"],
+        ids=["method", "rel_tol", "b_table", "seed_origin", "seed_nan",
+             "seed_short", "integrator_scalar", "integrator_null", "eps_grid_text"],
     )
     def test_config_refused_before_any_work(
         self, cli, tmp_path, monkeypatch, section, message
@@ -323,6 +329,14 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep_vanderpol.csv").read_text().splitlines()
         eps = [float(line.split(",")[0]) for line in lines[1:]]
         assert eps == [1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("grid", ["0:nan:1", "1:inf:1", "a:2:1"])
+    def test_range_grid_refused(self, cli, tmp_path, grid):
+        # each used to end in a ValueError or OverflowError traceback
+        result = cli("sweep", "--grid", grid, "--methods", "rg")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:") and repr(grid) in result.stderr
+        assert not list(tmp_path.glob("sweep_*"))
 
 
 class TestCycleCommand:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import doctest
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limitcycles import trigpoly
 from limitcycles.errors import DomainError
 from limitcycles.trigpoly import (
     MAX_HARMONIC,
@@ -228,3 +230,9 @@ def test_evaluate_matches_termwise_sum(series, t, h, e):
         manual += float(series.cos(k).evaluate(h, e)) * math.cos(k * t)
         manual += float(series.sin(k).evaluate(h, e)) * math.sin(k * t)
     assert direct == pytest.approx(manual, abs=1e-12)
+
+
+def test_module_doctests_pass():
+    # the examples in the docstrings are part of the documented behaviour
+    result = doctest.testmod(trigpoly)
+    assert result.failed == 0 and result.attempted >= 5
