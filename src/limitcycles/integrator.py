@@ -4,30 +4,31 @@ Cycle structure comes from the Poincare section ``z = y' = 0``: the extrema
 of ``y`` sit exactly on that section, so event location gives amplitude
 readings without any extra peak interpolation.
 
-:func:`solve_ivp` runs RK45 forward over a span as one loop over Python
-floats on the ``(y, z)`` pair.  It keeps scipy's RK45 (Dormand-Prince 5(4)):
-the tableau, initial step, error norm and step-size control, so it takes
-scipy's steps with scipy's ``nfev``.  On each accepted step it applies
-scipy's event sign test to ``z`` for each requested sense of ``z = 0``
-crossing, finds each crossing with :func:`brentq` (a float port of scipy's)
-on the step's quartic interpolant, and fills in the ``t_eval`` samples
-inside the step; a sample at the step's end takes the step's own state.
-The stage tuples and the interpolant are built only on a step with a
-crossing or a sample.  A backward or empty span, or a grid outside the span
-or out of order, is refused before the first evaluation, and a step that
-falls below scipy's 10-ulp floor raises.  No path here imports scipy; the
-worker pool loads only when ``jobs > 1``.
+:func:`solve_ivp` runs DOP853 forward over a span as one loop over Python
+floats on the ``(y, z)`` pair.  It keeps scipy's DOP853 (Dormand-Prince 8(5,3)):
+the tableau, initial step, the error norm that damps the 5th-order estimate by
+the 3rd-order one, and step-size control, so it takes scipy's steps with
+scipy's ``nfev``.  On each accepted step it applies scipy's event sign test to
+``z`` for each requested sense of ``z = 0`` crossing, finds each crossing with
+:func:`brentq` (a float port of scipy's) on the step's 7th-order interpolant,
+and fills in the ``t_eval`` samples inside the step; a sample at the step's end
+takes the step's own state.  The interpolant, with its three extra stages, is
+built only on a step with a crossing or a sample.  A backward or empty span, or
+a grid outside the span or out of order, is refused before the first
+evaluation, and a step that falls below scipy's 10-ulp floor raises.  No path
+here imports scipy; the worker pool loads only when ``jobs > 1``.
 
 :func:`limit_cycle` integrates past a transient of ``max(50, 2*epsilon)``
 time units (about one relaxation period at large epsilon, where the cycle
 contracts by orders of magnitude per period), then watches successive
 section crossings until the per-cycle amplitude stabilizes below
 ``cycle_tol``; the converged cycle is re-sampled over one period at points
-evenly spaced in arclength, so van der Pol's fast relaxation jumps get as
-many samples as their length asks for and the polygon through the samples
-stays close to the cycle everywhere.  Its amplitude is the section reading
+evenly spaced in arclength (measured along the cubic Hermite through the
+watch steps), so van der Pol's fast relaxation jumps get as many samples as
+their length asks for and the polygon through the samples stays close to the
+cycle everywhere.  Its amplitude is the section reading
 (the last maximum and minimum of ``|y|``) or the largest ``|y|`` among its
-samples, whichever is larger: above the reading by at most about 1e-10 of it.
+samples, whichever is larger: above the reading by a few 1e-10 of it at most.
 :func:`amplitude_sweep` converges the same way at each point of a grid of
 nonlinearity values and keeps the section reading alone, with no period
 re-sampled, optionally across processes, recording per-point failures
@@ -37,6 +38,7 @@ instead of aborting the sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -61,6 +63,8 @@ __all__ = [
 class IntegratorConfig:
     """Tunable knobs for trajectory and limit-cycle computations.
 
+    ``rel_tol`` and ``abs_tol`` are the DOP853 loop's error tolerances;
+    ``max_cycles`` and ``n_samples`` are counts, so a non-integer is refused.
     ``transient_time=None`` picks ``max(50, 2*epsilon)``.  The relaxation
     period grows as ``(3 - 2 ln 2)*epsilon ~ 1.6*epsilon``, so ``2*epsilon``
     is about 1.2 periods; the watch loop, not the transient, decides
@@ -82,9 +86,12 @@ class IntegratorConfig:
             raise DomainError("tolerances must be positive and finite")
         if not 0 < self.cycle_tol < math.inf:
             raise DomainError("cycle_tol must be positive and finite")
-        if not 2 <= self.max_cycles < math.inf:
+        for name in ("max_cycles", "n_samples"):  # a float fails in slicing or linspace
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.max_cycles < 2:
             raise DomainError("max_cycles must be at least 2")
-        if not 8 <= self.n_samples < math.inf:
+        if self.n_samples < 8:
             raise DomainError("n_samples must be at least 8")
         if self.transient_time is not None and not 0 <= self.transient_time < math.inf:
             raise DomainError("transient_time must be nonnegative and finite")
@@ -154,23 +161,65 @@ class AmplitudeCurve:
     errors: Tuple[str, ...]
 
 
-# scipy's RK45 as the same floats (Dormand & Prince 1980; P: Shampine 1986)
-_C = (0, 1/5, 3/10, 4/5, 8/9, 1)
-_A = (
-    (0, 0, 0, 0, 0), (1/5, 0, 0, 0, 0), (3/40, 9/40, 0, 0, 0), (44/45, -56/15, 32/9, 0, 0),
-    (19372/6561, -25360/2187, 64448/6561, -212/729, 0),
-    (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656),
+# scipy's DOP853 as the same floats (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5-II.6): B is row 12 of A, and E3, E5 weigh the thirteen stages of a step
+_C = (0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+    0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778)
+_A = (  # row s: the weights of stages 0..s-1 in stage s; rows 13-15 are for dense output
+    (), (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
 )
-_B = (35/384, 0, 500/1113, 125/192, -2187/6784, 11/84)
-_E = (-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
-_P = (
-    (1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
-    (0, 0, 0, 0),
-    (0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
-    (0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
-    (0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632),
-    (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
-    (0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+_E3 = (-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0)
+_E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0)
+_D = (
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
 )
 _EPS = 2.0**-52
 
@@ -214,28 +263,61 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     raise ConvergenceError("brentq did not converge in 100 iterations")
 
 
-def _quartic(k):
-    """``[sum(ki * p[j] for ki, p in zip(k, _P)) for j in range(4)]`` unrolled in
-    order, less ``k2``'s zero row: a finite ``+-0.0`` leaves such a sum as it is."""
-    k1, _, k3, k4, k5, k6, k7 = k
-    (_, a1, a2, a3), _, (_, c1, c2, c3), (_, d1, d2, d3), (_, e1, e2, e3), (
-        _, f1, f2, f3), (_, g1, g2, g3) = _P
-    return (0 + k1,
-            0 + k1 * a1 + k3 * c1 + k4 * d1 + k5 * e1 + k6 * f1 + k7 * g1,
-            0 + k1 * a2 + k3 * c2 + k4 * d2 + k5 * e2 + k6 * f2 + k7 * g2,
-            0 + k1 * a3 + k3 * c3 + k4 * d3 + k5 * e3 + k6 * f3 + k7 * g3)
+def _interpolant(fun, t_old: float, h: float, y_old: float, z_old: float, y: float,
+                 z: float, ky, kz):
+    """DOP853's dense output over one step, ``s -> (y, z)``, as scipy builds it:
+    three more stages after the step's thirteen ``ky``, ``kz`` (the last one the
+    field at the step's end), then seven coefficients per component, summed in
+    ``x = (s - t_old) / h`` by scipy's alternating ``x`` / ``1 - x`` Horner steps."""
+    *_, c13, c14, c15 = _C
+    a13, a14, a15 = _A[13:]
+    k0y, _, _, _, _, k5y, k6y, k7y, k8y, k9y, k10y, k11y, k12y = ky
+    k0z, _, _, _, _, k5z, k6z, k7z, k8z, k9z, k10z, k11z, k12z = kz
+    k13y, k13z = fun(t_old + c13 * h, (
+        y_old + (a13[0] * k0y + a13[6] * k6y + a13[7] * k7y + a13[8] * k8y + a13[9] * k9y
+                 + a13[10] * k10y + a13[11] * k11y + a13[12] * k12y) * h,
+        z_old + (a13[0] * k0z + a13[6] * k6z + a13[7] * k7z + a13[8] * k8z + a13[9] * k9z
+                 + a13[10] * k10z + a13[11] * k11z + a13[12] * k12z) * h))
+    k14y, k14z = fun(t_old + c14 * h, (
+        y_old + (a14[0] * k0y + a14[5] * k5y + a14[6] * k6y + a14[7] * k7y + a14[10] * k10y
+                 + a14[11] * k11y + a14[12] * k12y + a14[13] * k13y) * h,
+        z_old + (a14[0] * k0z + a14[5] * k5z + a14[6] * k6z + a14[7] * k7z + a14[10] * k10z
+                 + a14[11] * k11z + a14[12] * k12z + a14[13] * k13z) * h))
+    k15y, k15z = fun(t_old + c15 * h, (
+        y_old + (a15[0] * k0y + a15[5] * k5y + a15[6] * k6y + a15[7] * k7y + a15[8] * k8y
+                 + a15[12] * k12y + a15[13] * k13y + a15[14] * k14y) * h,
+        z_old + (a15[0] * k0z + a15[5] * k5z + a15[6] * k6z + a15[7] * k7z + a15[8] * k8z
+                 + a15[12] * k12z + a15[13] * k13z + a15[14] * k14z) * h))
 
+    def coefficients(old, new, k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15):
+        d3, d4, d5, d6 = _D
+        delta = new - old
+        return (delta, h * k0 - delta, 2 * delta - h * (k12 + k0),
+                h * (d3[0] * k0 + d3[5] * k5 + d3[6] * k6 + d3[7] * k7 + d3[8] * k8
+                     + d3[9] * k9 + d3[10] * k10 + d3[11] * k11 + d3[12] * k12 + d3[13] * k13
+                     + d3[14] * k14 + d3[15] * k15),
+                h * (d4[0] * k0 + d4[5] * k5 + d4[6] * k6 + d4[7] * k7 + d4[8] * k8
+                     + d4[9] * k9 + d4[10] * k10 + d4[11] * k11 + d4[12] * k12 + d4[13] * k13
+                     + d4[14] * k14 + d4[15] * k15),
+                h * (d5[0] * k0 + d5[5] * k5 + d5[6] * k6 + d5[7] * k7 + d5[8] * k8
+                     + d5[9] * k9 + d5[10] * k10 + d5[11] * k11 + d5[12] * k12 + d5[13] * k13
+                     + d5[14] * k14 + d5[15] * k15),
+                h * (d6[0] * k0 + d6[5] * k5 + d6[6] * k6 + d6[7] * k7 + d6[8] * k8
+                     + d6[9] * k9 + d6[10] * k10 + d6[11] * k11 + d6[12] * k12 + d6[13] * k13
+                     + d6[14] * k14 + d6[15] * k15))
 
-def _dense_output(t_old: float, h: float, y_old: float, z_old: float, ky, kz):
-    """RK45's quartic interpolant over one step, ``s -> (y, z)``."""
-    (qy0, qy1, qy2, qy3), (qz0, qz1, qz2, qz3) = _quartic(ky), _quartic(kz)
+    p0, p1, p2, p3, p4, p5, p6 = coefficients(
+        y_old, y, k0y, k5y, k6y, k7y, k8y, k9y, k10y, k11y, k12y, k13y, k14y, k15y)
+    q0, q1, q2, q3, q4, q5, q6 = coefficients(
+        z_old, z, k0z, k5z, k6z, k7z, k8z, k9z, k10z, k11z, k12z, k13z, k14z, k15z)
 
     def sol(s: float):
         x = (s - t_old) / h
-        x2 = x * x
-        x3, x4 = x2 * x, x2 * x * x
-        return (h * (qy0 * x + qy1 * x2 + qy2 * x3 + qy3 * x4) + y_old,
-                h * (qz0 * x + qz1 * x2 + qz2 * x3 + qz3 * x4) + z_old)
+        u = 1 - x
+        return ((((((((0.0 + p6) * x + p5) * u + p4) * x + p3) * u + p2) * x + p1) * u + p0)
+                * x + y_old,
+                (((((((0.0 + q6) * x + q5) * u + q4) * x + q3) * u + q2) * x + q1) * u + q0)
+                * x + z_old)
 
     return sol
 
@@ -246,11 +328,12 @@ def _rms(a: float, b: float) -> float:
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
-    """Integrate ``fun(t, (y, z))`` forward over ``t_span`` by the float RK45
+    """Integrate ``fun(t, (y, z))`` forward over ``t_span`` by the float DOP853
     loop of the module docstring.  ``events`` holds the senses of the ``z = 0``
     crossings to find (``1.0`` upward, ``-1.0`` downward, ``0.0`` both), one
     ``t_events`` and ``y_events`` entry each; ``t_eval`` lies in ``t_span`` in
-    non-decreasing order."""
+    non-decreasing order.  Without ``t_eval``, ``yp`` holds the field at each
+    ``t``: the last stage of each step, so it costs no evaluation."""
     t, tf = map(float, t_span)
     samples = [] if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
     if not -math.inf < t < tf < math.inf:  # NaN fails here too
@@ -259,88 +342,126 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
         raise DomainError("t_eval must lie in t_span in non-decreasing order")
     y, z = map(float, y0)
     rtol, atol = max(float(rtol), 100 * _EPS), float(atol)  # scipy's rtol floor
-    _, c2, c3, c4, c5, c6 = _C
-    _, (a21, *_), (a31, a32, *_), (a41, a42, a43, *_), (a51, a52, a53, a54, _), (
-        a61, a62, a63, a64, a65) = _A
-    b1, _, b3, b4, b5, b6 = _B
-    e1, _, e3, e4, e5, e6, e7 = _E
+    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, *_ = _C
+    ((), (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
+     (a5_0, _, _, a5_3, a5_4), (a6_0, _, _, a6_3, a6_4, a6_5),
+     (a7_0, _, _, a7_3, a7_4, a7_5, a7_6), (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
+     (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+     (b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11), *_) = _A
+    e3_0, _, _, _, _, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, _ = _E3
+    e5_0, _, _, _, _, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, _ = _E5
 
-    # the initial step as scipy's select_initial_step picks it (error order 4)
-    k1y, k1z = fun(t, (y, z))
+    # the initial step as scipy's select_initial_step picks it (error order 7)
+    k0y, k0z = fun(t, (y, z))
     sy, sz = atol + abs(y) * rtol, atol + abs(z) * rtol
-    d0, d1 = _rms(y / sy, z / sz), _rms(k1y / sy, k1z / sz)
+    d0, d1 = _rms(y / sy, z / sz), _rms(k0y / sy, k0z / sz)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tf - t)
-    fy, fz = fun(t + h0, (y + h0 * k1y, z + h0 * k1z))
+    fy, fz = fun(t + h0, (y + h0 * k0y, z + h0 * k0z))
     nfev = 2
-    d2 = _rms((fy - k1y) / sy, (fz - k1z) / sz) / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    d2 = _rms((fy - k0y) / sy, (fz - k0z) / sz) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, tf - t)
 
     n_samples = len(samples)
     ts, ys, zs = ([t], [y], [z]) if t_eval is None else ([], [], [])
+    fys, fzs = ([k0y], [k0z]) if t_eval is None else ([], [])
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     while t < tf:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
-        while True:  # attempt steps until one passes the RMS error test
+        while True:  # attempt steps until one passes the error test
             if not h_abs >= min_step:  # a NaN step fails here too
                 raise ConvergenceError("integration failed: Required step size "
                                        "is less than spacing between numbers.")
             t_new = min(t + h_abs, tf)
             h = h_abs = t_new - t
-            k2y, k2z = fun(t + c2 * h, (y + a21 * k1y * h, z + a21 * k1z * h))
-            k3y, k3z = fun(t + c3 * h, (y + (a31 * k1y + a32 * k2y) * h,
-                                        z + (a31 * k1z + a32 * k2z) * h))
-            k4y, k4z = fun(t + c4 * h, (y + (a41 * k1y + a42 * k2y + a43 * k3y) * h,
-                                        z + (a41 * k1z + a42 * k2z + a43 * k3z) * h))
-            k5y, k5z = fun(t + c5 * h, (
-                y + (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y) * h,
-                z + (a51 * k1z + a52 * k2z + a53 * k3z + a54 * k4z) * h))
+            k1y, k1z = fun(t + c1 * h, (y + a1_0 * k0y * h, z + a1_0 * k0z * h))
+            k2y, k2z = fun(t + c2 * h, (y + (a2_0 * k0y + a2_1 * k1y) * h,
+                                        z + (a2_0 * k0z + a2_1 * k1z) * h))
+            k3y, k3z = fun(t + c3 * h, (y + (a3_0 * k0y + a3_2 * k2y) * h,
+                                        z + (a3_0 * k0z + a3_2 * k2z) * h))
+            k4y, k4z = fun(t + c4 * h, (y + (a4_0 * k0y + a4_2 * k2y + a4_3 * k3y) * h,
+                                        z + (a4_0 * k0z + a4_2 * k2z + a4_3 * k3z) * h))
+            k5y, k5z = fun(t + c5 * h, (y + (a5_0 * k0y + a5_3 * k3y + a5_4 * k4y) * h,
+                                        z + (a5_0 * k0z + a5_3 * k3z + a5_4 * k4z) * h))
             k6y, k6z = fun(t + c6 * h, (
-                y + (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h,
-                z + (a61 * k1z + a62 * k2z + a63 * k3z + a64 * k4z + a65 * k5z) * h))
-            # b2 = e2 = 0: a finite k2 adds a zero, which can flip only an all-zero sum
-            y_new = y + h * (b1 * k1y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
-            z_new = z + h * (b1 * k1z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z)
-            k7y, k7z = fun(t + h, (y_new, z_new))
-            nfev += 6
-            err_y = (e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y
-                     + e7 * k7y) * h / (atol + max(abs(y), abs(y_new)) * rtol)
-            err_z = (e1 * k1z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z
-                     + e7 * k7z) * h / (atol + max(abs(z), abs(z_new)) * rtol)
-            # RMS norm; an ulp's change in this rounding moves cycle samples by ~1e-8
-            error_norm = math.sqrt(0.5 * (err_y * err_y + err_z * err_z))
+                y + (a6_0 * k0y + a6_3 * k3y + a6_4 * k4y + a6_5 * k5y) * h,
+                z + (a6_0 * k0z + a6_3 * k3z + a6_4 * k4z + a6_5 * k5z) * h))
+            k7y, k7z = fun(t + c7 * h, (
+                y + (a7_0 * k0y + a7_3 * k3y + a7_4 * k4y + a7_5 * k5y + a7_6 * k6y) * h,
+                z + (a7_0 * k0z + a7_3 * k3z + a7_4 * k4z + a7_5 * k5z + a7_6 * k6z) * h))
+            k8y, k8z = fun(t + c8 * h, (
+                y + (a8_0 * k0y + a8_3 * k3y + a8_4 * k4y + a8_5 * k5y + a8_6 * k6y
+                     + a8_7 * k7y) * h,
+                z + (a8_0 * k0z + a8_3 * k3z + a8_4 * k4z + a8_5 * k5z + a8_6 * k6z
+                     + a8_7 * k7z) * h))
+            k9y, k9z = fun(t + c9 * h, (
+                y + (a9_0 * k0y + a9_3 * k3y + a9_4 * k4y + a9_5 * k5y + a9_6 * k6y
+                     + a9_7 * k7y + a9_8 * k8y) * h,
+                z + (a9_0 * k0z + a9_3 * k3z + a9_4 * k4z + a9_5 * k5z + a9_6 * k6z
+                     + a9_7 * k7z + a9_8 * k8z) * h))
+            k10y, k10z = fun(t + c10 * h, (
+                y + (a10_0 * k0y + a10_3 * k3y + a10_4 * k4y + a10_5 * k5y + a10_6 * k6y
+                     + a10_7 * k7y + a10_8 * k8y + a10_9 * k9y) * h,
+                z + (a10_0 * k0z + a10_3 * k3z + a10_4 * k4z + a10_5 * k5z + a10_6 * k6z
+                     + a10_7 * k7z + a10_8 * k8z + a10_9 * k9z) * h))
+            k11y, k11z = fun(t + c11 * h, (
+                y + (a11_0 * k0y + a11_3 * k3y + a11_4 * k4y + a11_5 * k5y + a11_6 * k6y
+                     + a11_7 * k7y + a11_8 * k8y + a11_9 * k9y + a11_10 * k10y) * h,
+                z + (a11_0 * k0z + a11_3 * k3z + a11_4 * k4z + a11_5 * k5z + a11_6 * k6z
+                     + a11_7 * k7z + a11_8 * k8z + a11_9 * k9z + a11_10 * k10z) * h))
+            y_new = y + h * (b0 * k0y + b5 * k5y + b6 * k6y + b7 * k7y + b8 * k8y + b9 * k9y
+                             + b10 * k10y + b11 * k11y)
+            z_new = z + h * (b0 * k0z + b5 * k5z + b6 * k6z + b7 * k7z + b8 * k8z + b9 * k9z
+                             + b10 * k10z + b11 * k11z)
+            k12y, k12z = fun(t + h, (y_new, z_new))
+            nfev += 12
+            sy = atol + max(abs(y), abs(y_new)) * rtol
+            sz = atol + max(abs(z), abs(z_new)) * rtol
+            e5y = (e5_0 * k0y + e5_5 * k5y + e5_6 * k6y + e5_7 * k7y + e5_8 * k8y
+                   + e5_9 * k9y + e5_10 * k10y + e5_11 * k11y) / sy
+            e5z = (e5_0 * k0z + e5_5 * k5z + e5_6 * k6z + e5_7 * k7z + e5_8 * k8z
+                   + e5_9 * k9z + e5_10 * k10z + e5_11 * k11z) / sz
+            e3y = (e3_0 * k0y + e3_5 * k5y + e3_6 * k6y + e3_7 * k7y + e3_8 * k8y
+                   + e3_9 * k9y + e3_10 * k10y + e3_11 * k11y) / sy
+            e3z = (e3_0 * k0z + e3_5 * k5z + e3_6 * k6z + e3_7 * k7z + e3_8 * k8z
+                   + e3_9 * k9z + e3_10 * k10z + e3_11 * k11z) / sz
+            # scipy's norm: the 5th-order estimate, damped by the 3rd-order one,
+            # each squared norm taken as sqrt(x.x)**2
+            r5, r3 = math.sqrt(e5y * e5y + e5z * e5z), math.sqrt(e3y * e3y + e3z * e3z)
+            n5, n3 = r5 * r5, r3 * r3
+            error_norm = h * n5 / math.sqrt((n5 + 0.01 * n3) * 2) if n5 or n3 else 0.0
             if error_norm < 1:
-                factor = 10.0 if error_norm == 0 else min(10.0, 0.9 * error_norm**-0.2)
+                factor = 10.0 if error_norm == 0 else min(10.0, 0.9 * error_norm**-0.125)
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
-            h_abs, rejected = h_abs * max(0.2, 0.9 * error_norm**-0.2), True
+            h_abs, rejected = h_abs * max(0.2, 0.9 * error_norm**-0.125), True
 
         t_old, y_old, z_old, t, y, z = t, y, z, t_new, y_new, z_new
-        sol = None  # the step's interpolant, built at its first crossing or sample
-        for i, sense in enumerate(events):  # scipy's find_active_events on z
-            if (z_old <= 0 <= z and sense >= 0) or (z_old >= 0 >= z and sense <= 0):
-                sol = sol or _dense_output(t_old, h, y_old, z_old, (
-                    k1y, k2y, k3y, k4y, k5y, k6y, k7y), (k1z, k2z, k3z, k4z, k5z, k6z, k7z))
-                root = brentq(lambda s: sol(s)[1], t_old, t, 4 * _EPS, 4 * _EPS)
-                t_events[i].append(root)
-                y_events[i].append(sol(root))
+        crossed = [i for i, sense in enumerate(events)  # scipy's find_active_events on z
+                   if (z_old <= 0 <= z and sense >= 0) or (z_old >= 0 >= z and sense <= 0)]
+        if crossed or len(ts) < n_samples and samples[len(ts)] <= t:  # interpolant needed
+            sol = _interpolant(fun, t_old, h, y_old, z_old, y, z, (
+                k0y, k1y, k2y, k3y, k4y, k5y, k6y, k7y, k8y, k9y, k10y, k11y, k12y), (
+                k0z, k1z, k2z, k3z, k4z, k5z, k6z, k7z, k8z, k9z, k10z, k11z, k12z))
+            nfev += 3
+        for i in crossed:
+            root = brentq(lambda s: sol(s)[1], t_old, t, 4 * _EPS, 4 * _EPS)
+            t_events[i].append(root)
+            y_events[i].append(sol(root))
         if t_eval is None:
-            ts.append(t)
-            ys.append(y)
-            zs.append(z)
-        else:
-            while len(ts) < n_samples and samples[len(ts)] <= t:
-                s = samples[len(ts)]
-                sol = sol or _dense_output(t_old, h, y_old, z_old, (
-                    k1y, k2y, k3y, k4y, k5y, k6y, k7y), (k1z, k2z, k3z, k4z, k5z, k6z, k7z))
-                s_y, s_z = (y, z) if s == t else sol(s)  # the step's end takes its own state
-                ts.append(s), ys.append(s_y), zs.append(s_z)
-        k1y, k1z = k7y, k7z
+            ts.append(t), ys.append(y), zs.append(z), fys.append(k12y), fzs.append(k12z)
+        while len(ts) < n_samples and samples[len(ts)] <= t:
+            s = samples[len(ts)]
+            s_y, s_z = (y, z) if s == t else sol(s)  # the step's end takes its own state
+            ts.append(s), ys.append(s_y), zs.append(s_z)
+        k0y, k0z = k12y, k12z
 
-    return SimpleNamespace(  # the fields of scipy's OdeResult read here
+    return SimpleNamespace(  # the fields of scipy's OdeResult read here, and yp
         t=np.array(ts), y=np.array((ys, zs)), t_events=[np.array(te) for te in t_events],
-        y_events=[np.array(ye) for ye in y_events], nfev=nfev)
+        y_events=[np.array(ye) for ye in y_events], nfev=nfev, yp=np.array((fys, fzs)))
 
 
 def integrate(
@@ -386,7 +507,7 @@ def _converge(spec: OscillatorSpec, cfg: IntegratorConfig):
     amps: list = []  # |y| at downward crossings
     up_abs: list = []  # |y| at upward crossings (the minima)
     t_now = 0.0
-    steps: list = []  # accepted watch steps (t, y, z) since the penultimate maximum
+    steps: list = []  # watch steps (t, y, z, y', z') since the penultimate maximum
 
     while len(amps) < cfg.max_cycles:
         chunk = max(25.0, 3.0 * period_est)
@@ -407,7 +528,7 @@ def _converge(spec: OscillatorSpec, cfg: IntegratorConfig):
             amps.append(abs(float(s_i[0])))
         for s_i in s_up:
             up_abs.append(abs(float(s_i[0])))
-        steps.append(np.vstack([sol.t[1:], sol.y[:, 1:]]))
+        steps.append(np.vstack([sol.t[1:], sol.y[:, 1:], sol.yp[:, 1:]]))
         if len(down_t) >= 2:
             period_est = down_t[-1] - down_t[-2]
             steps = [c for c in steps if c[0, -1] > down_t[-2]]
@@ -435,18 +556,26 @@ def limit_cycle(spec: OscillatorSpec,
     """Converge onto the attracting limit cycle by :func:`_converge` (a
     returned record is always converged) and sample one more period from the
     penultimate maximum.  ``amplitude`` also folds in ``max |y|`` over the
-    samples, so it exceeds the section reading by at most about 1e-10 of it."""
+    samples, so it exceeds the section reading by a few 1e-10 of it at most."""
     cfg = config or IntegratorConfig()
     section, period, amps, steps, (down_t, down_states) = _converge(spec, cfg)
 
     # one anchored period from the penultimate maximum, re-sampled evenly in
-    # arclength: the watch steps between the last two maxima give the chord
-    # length as a function of time, inverted by linear interpolation
+    # arclength: length as a function of time comes from 8 chords a step along
+    # the cubic Hermite through the watch steps between the last two maxima and
+    # the field there (one chord on each partial step at the ends), inverted by
+    # linear interpolation
     anchor = down_states[-2]
     path = np.hstack(steps)
     inside = (path[0] > down_t[-2]) & (path[0] < down_t[-1])
-    times = np.concatenate([[0.0], path[0, inside] - down_t[-2], [period]])
-    points = np.vstack([anchor, path[1:, inside].T, down_states[-1]])
+    t_in, p_in, f_in = path[0, inside], path[1:3, inside], path[3:, inside]
+    dt, s = np.diff(t_in), np.arange(8) / 8
+    p0, p1 = p_in[:, :-1, None], p_in[:, 1:, None]
+    hermite = (p0 + (p1 - p0) * (s * s * (3 - 2 * s)) + (f_in[:, :-1] * dt)[..., None]
+               * (s * (1 - s) ** 2) + (f_in[:, 1:] * dt)[..., None] * (s * s * (s - 1)))
+    times = np.concatenate([[0.0], (t_in[:-1, None] + dt[:, None] * s).ravel() - down_t[-2],
+                            t_in[-1:] - down_t[-2], [period]])
+    points = np.vstack([anchor, hermite.reshape(2, -1).T, p_in[:, -1:].T, down_states[-1]])
     length = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(points, axis=0).T))])
     t_eval = np.interp(np.linspace(0.0, length[-1], cfg.n_samples), length, times)
     sol = solve_ivp(spec.field_function(), (0.0, period), anchor, cfg.rel_tol,
@@ -482,7 +611,7 @@ def amplitude_sweep(
     Each point is the section reading of :func:`_converge`: the transient
     and watch of :func:`limit_cycle` without its re-sampled period, so it
     sits below that record's ``amplitude``, which also folds in its samples,
-    by at most about 1e-10 of it.  ``jobs`` is at least 1; ``jobs > 1``
+    by a few 1e-10 of it at most.  ``jobs`` is at least 1; ``jobs > 1``
     distributes grid points over worker processes (named oscillator kinds
     only — custom callables do not cross process boundaries).  Output
     ordering matches ``eps_values`` regardless of worker scheduling.
