@@ -4,35 +4,34 @@ Cycle structure comes from the Poincare section ``z = y' = 0``: the extrema
 of ``y`` sit exactly on that section, so event location gives amplitude
 readings without any extra peak interpolation.
 
-:func:`solve_ivp` runs DOP853 forward over a span as one loop over Python
-floats on the ``(y, z)`` pair.  It keeps scipy's DOP853 (Dormand-Prince 8(5,3)):
-the tableau, initial step, the error norm that damps the 5th-order estimate by
-the 3rd-order one, and step-size control, so it takes scipy's steps with
-scipy's ``nfev``.  On each accepted step it applies scipy's event sign test to
-``z`` for each requested sense of ``z = 0`` crossing, finds each crossing with
-:func:`brentq` (a float port of scipy's) on the step's 7th-order interpolant,
-and fills in the ``t_eval`` samples inside the step; a sample at the step's end
-takes the step's own state.  The interpolant, with its three extra stages, is
-built only on a step with a crossing or a sample.  A backward or empty span, or
-a grid outside the span or out of order, is refused before the first
-evaluation, and a step that falls below scipy's 10-ulp floor raises.  No path
-here imports scipy; the worker pool loads only when ``jobs > 1``.
+:func:`solve_ivp` runs scipy's DOP853 (Dormand-Prince 8(5,3)) forward over a span as
+one loop over Python floats on the ``(y, z)`` pair: the tableau, initial step, error
+norm (the 5th-order estimate damped by the 3rd-order one) and step-size control,
+with each step's sums over the stages grouped as numpy's BLAS groups scipy's, so it
+takes scipy's steps with scipy's ``nfev`` unless an error estimate is roundoff,
+where BLAS's fused multiply-adds can part them.  On each accepted step it applies
+scipy's event sign test to ``z`` for each requested sense of ``z = 0`` crossing,
+finds each crossing with :func:`brentq` (a float port of scipy's) on the step's
+7th-order interpolant, and fills in the ``t_eval`` samples inside the step; a sample
+at the step's end takes the step's own state.  The interpolant, with its three extra
+stages, is built only on a step with a crossing or a sample.  A backward or empty
+span, or a grid outside the span or out of order, is refused before the first
+evaluation, and a step that falls below scipy's 10-ulp floor raises.  No path here
+imports scipy; the worker pool loads only when ``jobs > 1``.
 
 :func:`limit_cycle` integrates past a transient of ``max(50, 2*epsilon)``
 time units (about one relaxation period at large epsilon, where the cycle
 contracts by orders of magnitude per period), then watches successive
 section crossings until the per-cycle amplitude stabilizes below
-``cycle_tol``; the converged cycle is re-sampled over one period at points
-evenly spaced in arclength (measured along the cubic Hermite through the
-watch steps), so van der Pol's fast relaxation jumps get as many samples as
-their length asks for and the polygon through the samples stays close to the
-cycle everywhere.  Its amplitude is the section reading
-(the last maximum and minimum of ``|y|``) or the largest ``|y|`` among its
-samples, whichever is larger: above the reading by a few 1e-10 of it at most.
+``cycle_tol``; the converged cycle is re-sampled over one period from its
+last maximum at points evenly spaced in arclength (along the cubic Hermite
+through the watch steps), so van der Pol's fast relaxation jumps get as many
+samples as their length asks for.  Its amplitude is the section reading (the
+last maximum and minimum of ``|y|``) or the largest ``|y|`` among its samples,
+whichever is larger: above the reading by at most about 1e-10 of it.
 :func:`amplitude_sweep` converges the same way at each point of a grid of
-nonlinearity values and keeps the section reading alone, with no period
-re-sampled, optionally across processes, recording per-point failures
-instead of aborting the sweep.
+nonlinearity values and keeps the section reading alone, optionally across
+processes, recording per-point failures instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -63,8 +62,7 @@ __all__ = [
 class IntegratorConfig:
     """Tunable knobs for trajectory and limit-cycle computations.
 
-    ``rel_tol`` and ``abs_tol`` are the DOP853 loop's error tolerances;
-    ``max_cycles`` and ``n_samples`` are counts, so a non-integer is refused.
+    The tolerances are the DOP853 loop's; ``max_cycles`` and ``n_samples`` are integers.
     ``transient_time=None`` picks ``max(50, 2*epsilon)``.  The relaxation
     period grows as ``(3 - 2 ln 2)*epsilon ~ 1.6*epsilon``, so ``2*epsilon``
     is about 1.2 periods; the watch loop, not the transient, decides
@@ -118,13 +116,11 @@ class Trajectory(NamedTuple):
 class CycleRecord:
     """One converged limit cycle, sampled over a single period.
 
-    The ``n_samples`` points are evenly spaced in arclength along the cycle,
-    from the penultimate maximum of ``y`` (``t = 0``) to the last one
-    (``t = period``), so ``t`` increases but is not evenly spaced.
-    ``history`` holds the per-cycle amplitude readings that led to
-    convergence; ``state_gap`` is the max-norm mismatch between the start state
-    and the last solver step's end state, whatever ``n_samples`` is (a closure
-    diagnostic, not a gate).
+    The ``n_samples`` points, evenly spaced in arclength, run from the last maximum
+    of ``y`` (``t = 0``) round to it (``t = period``): ``t`` is not evenly spaced.
+    ``history`` holds the per-cycle amplitude readings that led to convergence;
+    ``state_gap`` is the max-norm mismatch between the start state and the last solver
+    step's end state, whatever ``n_samples`` is (a closure diagnostic, not a gate).
     """
 
     kind: str
@@ -167,35 +163,28 @@ _C = (0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.28164965
     0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
     0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778)
 _A = (  # row s: the weights of stages 0..s-1 in stage s; rows 13-15 are for dense output
-    (), (0.05260015195876773,),
-    (0.0197250569845379, 0.0591751709536137),
-    (0.02958758547680685, 0, 0.08876275643042054),
-    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
-    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
-    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
-    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
-     -0.015319437748624402, 0.008273789163814023),
+    (), (0.05260015195876773,), (0.0197250569845379, 0.0591751709536137), (0.02958758547680685,
+    0, 0.08876275643042054), (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242), (0.037109375, 0, 0,
+    0.17025221101954405, 0.06021653898045596, -0.017578125), (0.03709200011850479, 0, 0,
+    0.17038392571223998, 0.10726203044637328, -0.015319437748624402, 0.008273789163814023),
     (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
-     20.154067550477894, -43.48988418106996),
-    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
-     15.279233632882423, -33.28821096898486, -0.020331201708508627),
-    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
-     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
-    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
-     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
-     0.6433927460157636),
-    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
-     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
-     0.04471061572777259),
-    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
-     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
-     -0.008298),
+    20.154067550477894, -43.48988418106996), (0.47766253643826434, 0, 0, -2.4881146199716677,
+    -0.590290826836843, 21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627), (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+    -3.0467644718982196), (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+    12.360567175794303, 0.6433927460157636), (0.054293734116568765, 0, 0, 0, 0,
+    4.450312892752409, 1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259), (0.056167502283047954, 0,
+    0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298),
     (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
-     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
-     -0.00034046500868740456, 0.1413124436746325),
-    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
-     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
-     2.9475147891527724, -9.15095847217987),
+    -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+    -0.00034046500868740456, 0.1413124436746325), (-0.42889630158379194, 0, 0, 0, 0,
+    -4.697621415361164, 7.683421196062599, 4.06898981839711, 0.3567271874552811, 0, 0, 0,
+    -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
 )
 _E3 = (-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
@@ -203,23 +192,20 @@ _E3 = (-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
 _E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
     -0.022355307863886294, 0)
-_D = (
-    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
-     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
-     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
-     -4.436036387594894),
+_D = (  # row j: the weights of the sixteen stages in the interpolant's coefficient j + 3
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
     (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
-     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
-     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
-     35.81684148639408),
-    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
-     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
-     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
-     11.99229113618279),
-    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
-     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
-     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
-     -149.72683625798564),
+    -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+    -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+    35.81684148639408), (19.985053242002433, 0, 0, 0, 0, -387.0373087493518,
+    -189.17813819516758, 527.8081592054236, -11.57390253995963, 6.8812326946963,
+    -1.0006050966910838, 0.7777137798053443, -2.778205752353508, -60.19669523126412,
+    84.32040550667716, 11.99229113618279), (-25.69393346270375, 0, 0, 0, 0,
+    -154.18974869023643, -231.5293791760455, 357.6391179106141, 93.40532418362432,
+    -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+    96.32455395918828, -39.17726167561544, -149.72683625798564),
 )
 _EPS = 2.0**-52
 
@@ -263,14 +249,11 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     raise ConvergenceError("brentq did not converge in 100 iterations")
 
 
-def _interpolant(fun, t_old: float, h: float, y_old: float, z_old: float, y: float,
-                 z: float, ky, kz):
-    """DOP853's dense output over one step, ``s -> (y, z)``, as scipy builds it:
-    three more stages after the step's thirteen ``ky``, ``kz`` (the last one the
-    field at the step's end), then seven coefficients per component, summed in
-    ``x = (s - t_old) / h`` by scipy's alternating ``x`` / ``1 - x`` Horner steps."""
-    *_, c13, c14, c15 = _C
-    a13, a14, a15 = _A[13:]
+def _interpolant(fun, t_old, h, y_old, z_old, y, z, ky, kz):
+    """DOP853's dense output over one step, ``s -> (y, z)``, as scipy builds it: three
+    more stages after the step's thirteen ``ky``, ``kz``, then seven coefficients per
+    component, summed in ``x = (s - t_old) / h`` by scipy's ``x`` / ``1 - x`` Horner."""
+    (*_, c13, c14, c15), (a13, a14, a15) = _C, _A[13:]
     k0y, _, _, _, _, k5y, k6y, k7y, k8y, k9y, k10y, k11y, k12y = ky
     k0z, _, _, _, _, k5z, k6z, k7z, k8z, k9z, k10z, k11z, k12z = kz
     k13y, k13z = fun(t_old + c13 * h, (
@@ -289,27 +272,18 @@ def _interpolant(fun, t_old: float, h: float, y_old: float, z_old: float, y: flo
         z_old + (a15[0] * k0z + a15[5] * k5z + a15[6] * k6z + a15[7] * k7z + a15[8] * k8z
                  + a15[12] * k12z + a15[13] * k13z + a15[14] * k14z) * h))
 
-    def coefficients(old, new, k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15):
-        d3, d4, d5, d6 = _D
-        delta = new - old
-        return (delta, h * k0 - delta, 2 * delta - h * (k12 + k0),
-                h * (d3[0] * k0 + d3[5] * k5 + d3[6] * k6 + d3[7] * k7 + d3[8] * k8
-                     + d3[9] * k9 + d3[10] * k10 + d3[11] * k11 + d3[12] * k12 + d3[13] * k13
-                     + d3[14] * k14 + d3[15] * k15),
-                h * (d4[0] * k0 + d4[5] * k5 + d4[6] * k6 + d4[7] * k7 + d4[8] * k8
-                     + d4[9] * k9 + d4[10] * k10 + d4[11] * k11 + d4[12] * k12 + d4[13] * k13
-                     + d4[14] * k14 + d4[15] * k15),
-                h * (d5[0] * k0 + d5[5] * k5 + d5[6] * k6 + d5[7] * k7 + d5[8] * k8
-                     + d5[9] * k9 + d5[10] * k10 + d5[11] * k11 + d5[12] * k12 + d5[13] * k13
-                     + d5[14] * k14 + d5[15] * k15),
-                h * (d6[0] * k0 + d6[5] * k5 + d6[6] * k6 + d6[7] * k7 + d6[8] * k8
-                     + d6[9] * k9 + d6[10] * k10 + d6[11] * k11 + d6[12] * k12 + d6[13] * k13
-                     + d6[14] * k14 + d6[15] * k15))
-
-    p0, p1, p2, p3, p4, p5, p6 = coefficients(
-        y_old, y, k0y, k5y, k6y, k7y, k8y, k9y, k10y, k11y, k12y, k13y, k14y, k15y)
-    q0, q1, q2, q3, q4, q5, q6 = coefficients(
-        z_old, z, k0z, k5z, k6z, k7z, k8z, k9z, k10z, k11z, k12z, k13z, k14z, k15z)
+    dy, dz = y - y_old, z - z_old  # then the seven coefficients of each component
+    py = [dy, h * k0y - dy, 2 * dy - h * (k12y + k0y)]
+    pz = [dz, h * k0z - dz, 2 * dz - h * (k12z + k0z)]
+    for d0, _, _, _, _, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15 in _D:
+        py.append(h * (d0 * k0y + d5 * k5y + d6 * k6y + d7 * k7y + d8 * k8y + d9 * k9y
+                       + d10 * k10y + d11 * k11y + d12 * k12y + d13 * k13y + d14 * k14y
+                       + d15 * k15y))
+        pz.append(h * (d0 * k0z + d5 * k5z + d6 * k6z + d7 * k7z + d8 * k8z + d9 * k9z
+                       + d10 * k10z + d11 * k11z + d12 * k12z + d13 * k13z + d14 * k14z
+                       + d15 * k15z))
+    p0, p1, p2, p3, p4, p5, p6 = py
+    q0, q1, q2, q3, q4, q5, q6 = pz
 
     def sol(s: float):
         x = (s - t_old) / h
@@ -328,12 +302,11 @@ def _rms(a: float, b: float) -> float:
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
-    """Integrate ``fun(t, (y, z))`` forward over ``t_span`` by the float DOP853
-    loop of the module docstring.  ``events`` holds the senses of the ``z = 0``
-    crossings to find (``1.0`` upward, ``-1.0`` downward, ``0.0`` both), one
-    ``t_events`` and ``y_events`` entry each; ``t_eval`` lies in ``t_span`` in
-    non-decreasing order.  Without ``t_eval``, ``yp`` holds the field at each
-    ``t``: the last stage of each step, so it costs no evaluation."""
+    """Integrate ``fun(t, (y, z))`` forward over ``t_span`` by the float DOP853 loop of
+    the module docstring.  ``events`` holds the senses of the ``z = 0`` crossings to
+    find (``1.0`` upward, ``-1.0`` downward, ``0.0`` both), one ``t_events`` and
+    ``y_events`` entry each; ``t_eval`` lies in ``t_span`` in non-decreasing order.
+    Without ``t_eval``, ``yp`` holds the field at each ``t``: each step's last stage."""
     t, tf = map(float, t_span)
     samples = [] if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
     if not -math.inf < t < tf < math.inf:  # NaN fails here too
@@ -382,8 +355,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
                                         z + (a2_0 * k0z + a2_1 * k1z) * h))
             k3y, k3z = fun(t + c3 * h, (y + (a3_0 * k0y + a3_2 * k2y) * h,
                                         z + (a3_0 * k0z + a3_2 * k2z) * h))
-            k4y, k4z = fun(t + c4 * h, (y + (a4_0 * k0y + a4_2 * k2y + a4_3 * k3y) * h,
-                                        z + (a4_0 * k0z + a4_2 * k2z + a4_3 * k3z) * h))
+            k4y, k4z = fun(t + c4 * h, (y + (a4_0 * k0y + (a4_2 * k2y + a4_3 * k3y)) * h,
+                                        z + (a4_0 * k0z + (a4_2 * k2z + a4_3 * k3z)) * h))
             k5y, k5z = fun(t + c5 * h, (y + (a5_0 * k0y + a5_3 * k3y + a5_4 * k4y) * h,
                                         z + (a5_0 * k0z + a5_3 * k3z + a5_4 * k4z) * h))
             k6y, k6z = fun(t + c6 * h, (
@@ -393,43 +366,42 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
                 y + (a7_0 * k0y + a7_3 * k3y + a7_4 * k4y + a7_5 * k5y + a7_6 * k6y) * h,
                 z + (a7_0 * k0z + a7_3 * k3z + a7_4 * k4z + a7_5 * k5z + a7_6 * k6z) * h))
             k8y, k8z = fun(t + c8 * h, (
-                y + (a8_0 * k0y + a8_3 * k3y + a8_4 * k4y + a8_5 * k5y + a8_6 * k6y
-                     + a8_7 * k7y) * h,
-                z + (a8_0 * k0z + a8_3 * k3z + a8_4 * k4z + a8_5 * k5z + a8_6 * k6z
-                     + a8_7 * k7z) * h))
+                y + (a8_0 * k0y + a8_3 * k3y + (a8_4 * k4y + a8_5 * k5y)
+                     + (a8_6 * k6y + a8_7 * k7y)) * h,
+                z + (a8_0 * k0z + a8_3 * k3z + (a8_4 * k4z + a8_5 * k5z)
+                     + (a8_6 * k6z + a8_7 * k7z)) * h))
             k9y, k9z = fun(t + c9 * h, (
-                y + (a9_0 * k0y + a9_3 * k3y + a9_4 * k4y + a9_5 * k5y + a9_6 * k6y
-                     + a9_7 * k7y + a9_8 * k8y) * h,
-                z + (a9_0 * k0z + a9_3 * k3z + a9_4 * k4z + a9_5 * k5z + a9_6 * k6z
-                     + a9_7 * k7z + a9_8 * k8z) * h))
+                y + (a9_0 * k0y + a9_3 * k3y + (a9_4 * k4y + a9_5 * k5y)
+                     + (a9_6 * k6y + a9_7 * k7y) + a9_8 * k8y) * h,
+                z + (a9_0 * k0z + a9_3 * k3z + (a9_4 * k4z + a9_5 * k5z)
+                     + (a9_6 * k6z + a9_7 * k7z) + a9_8 * k8z) * h))
             k10y, k10z = fun(t + c10 * h, (
-                y + (a10_0 * k0y + a10_3 * k3y + a10_4 * k4y + a10_5 * k5y + a10_6 * k6y
-                     + a10_7 * k7y + a10_8 * k8y + a10_9 * k9y) * h,
-                z + (a10_0 * k0z + a10_3 * k3z + a10_4 * k4z + a10_5 * k5z + a10_6 * k6z
-                     + a10_7 * k7z + a10_8 * k8z + a10_9 * k9z) * h))
+                y + (a10_0 * k0y + a10_3 * k3y + (a10_4 * k4y + a10_5 * k5y)
+                     + (a10_6 * k6y + a10_7 * k7y) + a10_8 * k8y + a10_9 * k9y) * h,
+                z + (a10_0 * k0z + a10_3 * k3z + (a10_4 * k4z + a10_5 * k5z)
+                     + (a10_6 * k6z + a10_7 * k7z) + a10_8 * k8z + a10_9 * k9z) * h))
             k11y, k11z = fun(t + c11 * h, (
-                y + (a11_0 * k0y + a11_3 * k3y + a11_4 * k4y + a11_5 * k5y + a11_6 * k6y
-                     + a11_7 * k7y + a11_8 * k8y + a11_9 * k9y + a11_10 * k10y) * h,
-                z + (a11_0 * k0z + a11_3 * k3z + a11_4 * k4z + a11_5 * k5z + a11_6 * k6z
-                     + a11_7 * k7z + a11_8 * k8z + a11_9 * k9z + a11_10 * k10z) * h))
-            y_new = y + h * (b0 * k0y + b5 * k5y + b6 * k6y + b7 * k7y + b8 * k8y + b9 * k9y
-                             + b10 * k10y + b11 * k11y)
-            z_new = z + h * (b0 * k0z + b5 * k5z + b6 * k6z + b7 * k7z + b8 * k8z + b9 * k9z
-                             + b10 * k10z + b11 * k11z)
+                y + (a11_0 * k0y + a11_3 * k3y + (a11_4 * k4y + a11_5 * k5y) + (a11_6 * k6y
+                     + a11_7 * k7y) + a11_8 * k8y + a11_9 * k9y + a11_10 * k10y) * h,
+                z + (a11_0 * k0z + a11_3 * k3z + (a11_4 * k4z + a11_5 * k5z) + (a11_6 * k6z
+                     + a11_7 * k7z) + a11_8 * k8z + a11_9 * k9z + a11_10 * k10z) * h))
+            y_new = y + h * (b0 * k0y + b5 * k5y + (b6 * k6y + b7 * k7y)
+                             + (b8 * k8y + b9 * k9y) + (b10 * k10y + b11 * k11y))
+            z_new = z + h * (b0 * k0z + b5 * k5z + (b6 * k6z + b7 * k7z)
+                             + (b8 * k8z + b9 * k9z) + (b10 * k10z + b11 * k11z))
             k12y, k12z = fun(t + h, (y_new, z_new))
             nfev += 12
             sy = atol + max(abs(y), abs(y_new)) * rtol
             sz = atol + max(abs(z), abs(z_new)) * rtol
-            e5y = (e5_0 * k0y + e5_5 * k5y + e5_6 * k6y + e5_7 * k7y + e5_8 * k8y
-                   + e5_9 * k9y + e5_10 * k10y + e5_11 * k11y) / sy
-            e5z = (e5_0 * k0z + e5_5 * k5z + e5_6 * k6z + e5_7 * k7z + e5_8 * k8z
-                   + e5_9 * k9z + e5_10 * k10z + e5_11 * k11z) / sz
-            e3y = (e3_0 * k0y + e3_5 * k5y + e3_6 * k6y + e3_7 * k7y + e3_8 * k8y
-                   + e3_9 * k9y + e3_10 * k10y + e3_11 * k11y) / sy
-            e3z = (e3_0 * k0z + e3_5 * k5z + e3_6 * k6z + e3_7 * k7z + e3_8 * k8z
-                   + e3_9 * k9z + e3_10 * k10z + e3_11 * k11z) / sz
-            # scipy's norm: the 5th-order estimate, damped by the 3rd-order one,
-            # each squared norm taken as sqrt(x.x)**2
+            e5y = (e5_0 * k0y + e5_5 * k5y + (e5_6 * k6y + e5_7 * k7y)
+                   + (e5_8 * k8y + e5_9 * k9y) + (e5_10 * k10y + e5_11 * k11y)) / sy
+            e5z = (e5_0 * k0z + e5_5 * k5z + (e5_6 * k6z + e5_7 * k7z)
+                   + (e5_8 * k8z + e5_9 * k9z) + (e5_10 * k10z + e5_11 * k11z)) / sz
+            e3y = (e3_0 * k0y + e3_5 * k5y + (e3_6 * k6y + e3_7 * k7y)
+                   + (e3_8 * k8y + e3_9 * k9y) + (e3_10 * k10y + e3_11 * k11y)) / sy
+            e3z = (e3_0 * k0z + e3_5 * k5z + (e3_6 * k6z + e3_7 * k7z)
+                   + (e3_8 * k8z + e3_9 * k9z) + (e3_10 * k10z + e3_11 * k11z)) / sz
+            # scipy's norm: the 5th-order estimate damped by the 3rd, each as sqrt(x.x)**2
             r5, r3 = math.sqrt(e5y * e5y + e5z * e5z), math.sqrt(e3y * e3y + e3z * e3z)
             n5, n3 = r5 * r5, r3 * r3
             error_norm = h * n5 / math.sqrt((n5 + 0.01 * n3) * 2) if n5 or n3 else 0.0
@@ -553,19 +525,16 @@ def _converge(spec: OscillatorSpec, cfg: IntegratorConfig):
 
 def limit_cycle(spec: OscillatorSpec,
                 config: Optional[IntegratorConfig] = None) -> CycleRecord:
-    """Converge onto the attracting limit cycle by :func:`_converge` (a
-    returned record is always converged) and sample one more period from the
-    penultimate maximum.  ``amplitude`` also folds in ``max |y|`` over the
-    samples, so it exceeds the section reading by a few 1e-10 of it at most."""
+    """Converge onto the attracting limit cycle by :func:`_converge` (a returned record
+    is always converged) and sample one more period from the last maximum; ``amplitude``
+    also folds in ``max |y|`` over the samples, at most about 1e-10 of it above."""
     cfg = config or IntegratorConfig()
     section, period, amps, steps, (down_t, down_states) = _converge(spec, cfg)
 
-    # one anchored period from the penultimate maximum, re-sampled evenly in
-    # arclength: length as a function of time comes from 8 chords a step along
-    # the cubic Hermite through the watch steps between the last two maxima and
-    # the field there (one chord on each partial step at the ends), inverted by
-    # linear interpolation
-    anchor = down_states[-2]
+    # one period from the last maximum, evenly in arclength: length against time
+    # is 8 chords a step along the cubic Hermite through the watch steps between
+    # the last two maxima (one chord a partial step at the ends), inverted linearly
+    anchor = down_states[-1]
     path = np.hstack(steps)
     inside = (path[0] > down_t[-2]) & (path[0] < down_t[-1])
     t_in, p_in, f_in = path[0, inside], path[1:3, inside], path[3:, inside]
@@ -575,13 +544,15 @@ def limit_cycle(spec: OscillatorSpec,
                * (s * (1 - s) ** 2) + (f_in[:, 1:] * dt)[..., None] * (s * s * (s - 1)))
     times = np.concatenate([[0.0], (t_in[:-1, None] + dt[:, None] * s).ravel() - down_t[-2],
                             t_in[-1:] - down_t[-2], [period]])
-    points = np.vstack([anchor, hermite.reshape(2, -1).T, p_in[:, -1:].T, down_states[-1]])
+    points = np.vstack([down_states[-2], hermite.reshape(2, -1).T, p_in[:, -1:].T, anchor])
     length = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(points, axis=0).T))])
     t_eval = np.interp(np.linspace(0.0, length[-1], cfg.n_samples), length, times)
     sol = solve_ivp(spec.field_function(), (0.0, period), anchor, cfg.rel_tol,
                     cfg.abs_tol, t_eval=t_eval)
-    y, z = sol.y
     state_gap = float(np.max(np.abs(sol.y[:, -1] - anchor)))
+    # closed on its start, so both ends read the last maximum; state_gap keeps the end
+    sol.y[:, -1] = anchor
+    y, z = sol.y
 
     amplitude = max(float(np.max(np.abs(y))), section)
     return CycleRecord(
@@ -611,7 +582,7 @@ def amplitude_sweep(
     Each point is the section reading of :func:`_converge`: the transient
     and watch of :func:`limit_cycle` without its re-sampled period, so it
     sits below that record's ``amplitude``, which also folds in its samples,
-    by a few 1e-10 of it at most.  ``jobs`` is at least 1; ``jobs > 1``
+    by at most about 1e-10 of it.  ``jobs`` is at least 1; ``jobs > 1``
     distributes grid points over worker processes (named oscillator kinds
     only — custom callables do not cross process boundaries).  Output
     ordering matches ``eps_values`` regardless of worker scheduling.
