@@ -34,11 +34,7 @@ from .geometry import (
 )
 from .ham import (
     B_TABLE,
-    DEFAULT_CONTROL,
-    TABLE_ONLY_CONTROL,
-    HamControl,
     HamOrder,
-    LinearTail,
     amplitude_ham,
     breakpoint_jumps,
     control_h,
@@ -102,11 +98,7 @@ __all__ = [
     "solve_deformation",
     # tuned expansion
     "B_TABLE",
-    "DEFAULT_CONTROL",
-    "TABLE_ONLY_CONTROL",
-    "HamControl",
     "HamOrder",
-    "LinearTail",
     "amplitude_ham",
     "breakpoint_jumps",
     "control_h",

@@ -1,8 +1,8 @@
 """The paper's published numbers and accuracy bounds, each stated once.
 
 The report bundle's discrepancy notes, the acceptance tests, the calibration
-presets and the tuned expansion's linear tail all read these values, so a
-published claim and the check made of it cannot drift apart.  Bounds on
+presets and the tuned expansion's step-control law all read these values, so
+a published claim and the check made of it cannot drift apart.  Bounds on
 relative errors are in percent.
 """
 
@@ -14,6 +14,24 @@ RAYLEIGH_A1 = (RAYLEIGH, 1.0, 2.17271, 0.002)  # Rayleigh: a(1) = 2.17271
 RAYLEIGH_A7 = (RAYLEIGH, 7.0, 5.63108, 0.01)  # Rayleigh: a(7) = 5.63108
 VDP_A1 = (VAN_DER_POL, 1.0, 2.0086, 0.002)  # van der Pol: a(1) = 2.0086
 ANCHORS = (RAYLEIGH_A1, RAYLEIGH_A7, VDP_A1)
+
+# The tuned second-order expansion ``2 + h eps^2/8`` takes its step from the
+# reciprocal law ``h = 1/(1/2 + eps*b(eps))``, rows ``(eps_upper, b)``,
+# right-closed on ``(previous_upper, eps_upper]``; past eps = 7 the tuned
+# amplitude is the line ``TAIL_SLOPE*(eps - 7) + a(7)`` from the anchor above.
+B_TABLE = (
+    (4.0, 0.162),
+    (5.0, 0.165),
+    (7.0, 0.168),
+    (8.0, 0.171),
+    (9.0, 0.174),
+    (11.0, 0.176),
+    (15.0, 0.179),
+    (20.0, 0.181),
+    (30.0, 0.183),
+    (50.0, 0.185),
+)
+TAIL_SLOPE = 0.657692
 
 # The tuned second-order expansion stays within 1% of the exact amplitude.
 HAM_BOUND = 1.0

@@ -38,14 +38,7 @@ import numpy as np
 from . import geometry
 from .claims import ANCHORS, HAM_BOUND, SEAM_BOUND, VDP_FIT_BOUND, VDP_FIT_GRID, VDP_PEAK
 from .errors import ConvergenceError, DomainError
-from .ham import (
-    DEFAULT_CONTROL,
-    TABLE_ONLY_CONTROL,
-    HamControl,
-    amplitude_ham,
-    breakpoint_jumps,
-    control_h,
-)
+from .ham import amplitude_ham, breakpoint_jumps, control_h
 from .integrator import IntegratorConfig, _converge, amplitude_sweep, limit_cycle
 from .irgm import amplitude_irgm, consistency_report, get_preset, vdp_fit
 from .oscillators import RAYLEIGH, VAN_DER_POL, OscillatorSpec
@@ -110,7 +103,6 @@ class RunConfig:
         0.5, 1.0, 2.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0,
     )
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    ham_control: HamControl = field(default_factory=lambda: DEFAULT_CONTROL)
     irgm_preset: Optional[str] = None  # None: the system's own preset
     output_dir: str = "."
 
@@ -125,8 +117,6 @@ class RunConfig:
             raise DomainError("eps_grid must be strictly increasing")
         if self.irgm_preset is not None:
             get_preset(self.irgm_preset)  # an unknown name raises
-        if None in (self.integrator, self.ham_control):
-            raise DomainError("integrator and ham_control must be JSON objects")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -147,7 +137,7 @@ class RunConfig:
 def _from_plain(default, value, name="a run config"):
     """Rebuild JSON ``value`` in the shape of ``default``: objects update the
     default dataclass field by field, lists become tuples."""
-    if is_dataclass(default) and value is not None:  # null turns an optional part off
+    if is_dataclass(default):
         if not isinstance(value, dict):
             raise DomainError(f"{name} must be a JSON object, got {value!r}")
         return replace(
@@ -213,7 +203,7 @@ def _amplitude_record(
     *,
     preset: Optional[str],
     h_rg: float,
-    control: HamControl,
+    table_only: bool = False,
     config: Optional[IntegratorConfig] = None,
 ) -> Dict[str, object]:
     """One method's amplitude at ``eps`` and the settings that produced it."""
@@ -229,8 +219,10 @@ def _amplitude_record(
         )
         return {"amplitude": amplitude, "period": period, "cycles_used": len(readings)}
     if method == "ham":
-        amplitude = amplitude_ham(eps, control)
-        return {"amplitude": amplitude, "control_h": control_h(eps, control)}
+        return {
+            "amplitude": amplitude_ham(eps, table_only=table_only),
+            "control_h": control_h(eps, table_only=table_only),
+        }
     if method == "rg":
         return {"amplitude": a_rg(eps)}
     if method == "fit":
@@ -255,7 +247,6 @@ def build_comparison(
     jobs: int = 1,
     preset: Optional[str] = None,
     h_rg: float = 1.0,
-    control: HamControl = DEFAULT_CONTROL,
 ) -> List[ComparisonRow]:
     """Evaluate the requested methods over the grid, one row per point.
 
@@ -292,8 +283,7 @@ def build_comparison(
         for method in closed_forms:
             try:
                 values[_METHODS[method].column] = _amplitude_record(
-                    system, eps, method,
-                    preset=preset, h_rg=h_rg, control=control,
+                    system, eps, method, preset=preset, h_rg=h_rg
                 )["amplitude"]
             except DomainError as exc:
                 notes.append(f"{method}: {exc}")
@@ -380,6 +370,8 @@ def _exact_cycle(
 ):
     """The limit cycle at ``eps`` and, given ``fit_tol``, its arc/segment fit,
     written as a curve file; returns the cycle, the fit and the file's path."""
+    if fit_tol is not None:
+        geometry.check_fit_tol(fit_tol)  # before the integration, not after
     cycle = limit_cycle(OscillatorSpec(system, eps), config)
     if fit_tol is None:
         return cycle, None, None
@@ -414,14 +406,13 @@ def cmd_amplitude(args) -> int:
     system = _canonical_system(args.system)
     eps = float(args.eps)
     out_dir = _resolve_output_dir(args.output_dir)
-    control = TABLE_ONLY_CONTROL if args.table_only else DEFAULT_CONTROL
     record = {
         "system": system,
         "eps": eps,
         "method": args.method,
         **_amplitude_record(
             system, eps, args.method,
-            preset=args.preset, h_rg=args.hrg, control=control,
+            preset=args.preset, h_rg=args.hrg, table_only=args.table_only,
             config=IntegratorConfig(rel_tol=args.rel_tol),
         ),
     }
@@ -451,7 +442,6 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
         preset=config.irgm_preset,
         h_rg=args.hrg,
-        control=config.ham_control,
     )
 
     csv_path = out_dir / f"sweep_{config.system}.csv"
@@ -502,6 +492,7 @@ def cmd_cycle(args) -> int:
     eps = float(args.eps)
     out_dir = _resolve_output_dir(args.output_dir)
     config = IntegratorConfig(n_samples=args.samples)
+    table = _bundled_for(system, eps) if args.appendix_c else None  # before any work
     cycle, fitted, curve_path = _exact_cycle(system, eps, config, out_dir, args.fit)
 
     csv_path = out_dir / f"cycle_{system}_eps{_eps_label(eps)}.csv"
@@ -516,8 +507,7 @@ def cmd_cycle(args) -> int:
         _print_fit_summary(fitted, cycle)
         overlays.append(_curve_series(fitted, f"arc/segment fit (tol {args.fit:g})"))
 
-    if args.appendix_c:
-        table = _bundled_for(system, eps)
+    if table is not None:
         overlays.append(_curve_series(table, "published table"))
         _print_table_audit(table, cycle)
 
@@ -597,7 +587,7 @@ def cmd_report(args) -> int:
     )
     tables = [
         build_comparison(system, grid, methods, config=config.integrator, jobs=args.jobs,
-                         preset=config.irgm_preset, control=config.ham_control)
+                         preset=config.irgm_preset)
         for _, system, grid, methods, *_ in comparisons
     ]
     swept = {(system, row.eps): row
@@ -685,7 +675,7 @@ def cmd_report(args) -> int:
         if "INCONSISTENT" in line:
             notes.append(line)
 
-    jumps = breakpoint_jumps(config.ham_control)
+    jumps = breakpoint_jumps()
     for eps_break, jump in sorted(jumps.items()):
         if jump > SEAM_BOUND:
             notes.append(

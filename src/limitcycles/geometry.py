@@ -57,6 +57,7 @@ __all__ = [
     "clipped",
     "curve_distance",
     "fit_cycle",
+    "check_fit_tol",
     "write_curve",
     "read_curve",
     "load_bundled",
@@ -502,6 +503,12 @@ def _window_residual(shape: Shape, y: np.ndarray, z: np.ndarray) -> float:
     return float(np.max(np.abs(fit - z)))
 
 
+def check_fit_tol(tol: float) -> None:
+    """Refuse a fit tolerance outside ``0 < tol < inf``; NaN fails too."""
+    if not 0 < tol < math.inf:
+        raise DomainError(f"fit tolerance must be positive and finite, got {tol!r}")
+
+
 def fit_cycle(cycle: CycleRecord, tol: float = 0.1) -> PiecewiseCurve:
     """Cover the cycle's upper half with at most ``MAX_PIECES`` pieces within ``tol``.
 
@@ -515,8 +522,7 @@ def fit_cycle(cycle: CycleRecord, tol: float = 0.1) -> PiecewiseCurve:
     bounded by the tolerance.  A cycle that needs more than ``MAX_PIECES``
     pieces raises :class:`~limitcycles.errors.ConvergenceError`.
     """
-    if not 0 < tol < math.inf:
-        raise DomainError(f"fit tolerance must be positive and finite, got {tol!r}")
+    check_fit_tol(tol)
     yu, zu = _upper_half(cycle)
     n = len(yu)
     pieces: List[CurvePiece] = []

@@ -24,28 +24,28 @@ prefactor ``A^2 Omega^3`` is expanded.  The first-order secular conditions
 so the two-term amplitude is ``2 + (1/8) h e^2``.  Everything above is exact
 rational arithmetic on :class:`~limitcycles.trigpoly.TrigSeries`.
 
-The numeric layer chooses the step ``h`` from a tabulated reciprocal law
-``h = 1/(1/2 + e*b(e))`` (:func:`control_h`), switching to a linear amplitude
-tail for strong nonlinearity, and :func:`amplitude_ham` evaluates the
-resulting two-term amplitude.
+The numeric layer chooses the step ``h`` from the published reciprocal law
+``h = 1/(1/2 + e*b(e))`` (:func:`control_h`, the table ``B_TABLE`` on
+``(0, 50]``), switching past ``e = 7`` to the published straight amplitude
+line ``TAIL_SLOPE*(e - 7) + a(7)``, and :func:`amplitude_ham` evaluates the
+resulting two-term amplitude.  Both constants live in
+:mod:`~limitcycles.claims`; the law is fixed, and ``table_only=True`` is the
+one alternative reading, the table over its whole range.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .claims import RAYLEIGH_A7
+from .claims import B_TABLE, RAYLEIGH_A7, TAIL_SLOPE
 from .errors import DomainError
 from .trigpoly import Poly2, TrigSeries, solve_deformation
 
 __all__ = [
     "HamOrder",
-    "HamControl",
-    "LinearTail",
-    "DEFAULT_CONTROL",
-    "TABLE_ONLY_CONTROL",
+    "B_TABLE",
     "base_order",
     "build_rk",
     "solve_order",
@@ -239,84 +239,26 @@ def expansion(max_order: int = 2) -> Dict[int, HamOrder]:
 # step-parameter control and the closed amplitude law
 # ---------------------------------------------------------------------------
 
-#: Reciprocal-law coefficient table: rows ``(eps_upper, b)``, right-closed,
-#: giving ``h = 1/(1/2 + eps*b)`` on ``(previous_upper, eps_upper]``.
-B_TABLE: Tuple[Tuple[float, float], ...] = (
-    (4.0, 0.162),
-    (5.0, 0.165),
-    (7.0, 0.168),
-    (8.0, 0.171),
-    (9.0, 0.174),
-    (11.0, 0.176),
-    (15.0, 0.179),
-    (20.0, 0.181),
-    (30.0, 0.183),
-    (50.0, 0.185),
-)
+# the table covers (0, 50]; past the switch eps = 7 the default reading
+# follows a straight line from the published Rayleigh anchor a(7)
+_, _EPS_SWITCH, _A_SWITCH, _ = RAYLEIGH_A7
+_EPS_MAX = B_TABLE[-1][0]
 
 
-@dataclass(frozen=True)
-class LinearTail:
-    """Straight-line amplitude continuation ``slope*(eps - eps_switch) + intercept``."""
-
-    slope: float = 0.657692
-    # the line starts on the published Rayleigh anchor a(7)
-    intercept: float = RAYLEIGH_A7[2]
-    eps_switch: float = RAYLEIGH_A7[1]
-
-    def __post_init__(self):
-        if not all(0 < v < float("inf") for v in astuple(self)):
-            raise DomainError("tail parameters must be positive and finite")
-
-    def amplitude(self, eps: float) -> float:
-        return self.slope * (eps - self.eps_switch) + self.intercept
+def _check_range(eps: float) -> None:
+    if not (0.0 < eps <= _EPS_MAX):
+        raise DomainError(f"eps={eps!r} outside the tabulated range (0, {_EPS_MAX}]")
 
 
-@dataclass(frozen=True)
-class HamControl:
-    """Step-selection policy: coefficient table plus optional linear tail.
-
-    With a tail, the table drives ``eps <= tail.eps_switch`` and the line
-    takes over beyond; without one, the table covers its whole range.
-    """
-
-    b_table: Tuple[Tuple[float, float], ...] = B_TABLE
-    tail: Optional[LinearTail] = LinearTail()
-
-    def __post_init__(self):
-        if not self.b_table:
-            raise DomainError("empty coefficient table")
-        uppers = [row[0] for row in self.b_table]
-        if not all(a < b for a, b in zip([0.0, *uppers], uppers)):
-            raise DomainError("table bounds must rise strictly from 0")
-        if not all(0 < b < float("inf") for _, b in self.b_table):
-            raise DomainError("table coefficients must be positive and finite")
-        if self.tail is not None and self.tail.eps_switch > uppers[-1]:
-            raise DomainError("tail switch lies beyond the table range")
-
-    @property
-    def eps_max(self) -> float:
-        return self.b_table[-1][0]
-
-    def uses_tail(self, eps: float) -> bool:
-        return self.tail is not None and eps > self.tail.eps_switch
+def _tail(eps: float) -> float:
+    """The straight amplitude line past the switch, through the anchor a(7)."""
+    return TAIL_SLOPE * (eps - _EPS_SWITCH) + _A_SWITCH
 
 
-DEFAULT_CONTROL = HamControl()
-TABLE_ONLY_CONTROL = HamControl(tail=None)
-
-
-def _check_range(eps: float, control: HamControl) -> None:
-    if not (0.0 < eps <= control.eps_max):
-        raise DomainError(
-            f"eps={eps!r} outside the tabulated range (0, {control.eps_max}]"
-        )
-
-
-def step_coefficient(eps: float, control: HamControl = DEFAULT_CONTROL) -> float:
+def step_coefficient(eps: float) -> float:
     """Table lookup for the reciprocal-law coefficient at ``eps``."""
-    _check_range(eps, control)
-    for upper, b in control.b_table:
+    _check_range(eps)
+    for upper, b in B_TABLE:
         if eps <= upper:
             return b
     raise AssertionError("unreachable: range checked above")
@@ -330,43 +272,42 @@ def _two_term(h: float, eps: float) -> float:
     return 2.0 + h * eps * eps * _AMP_COEFFICIENT
 
 
-def control_h(eps: float, control: HamControl = DEFAULT_CONTROL) -> float:
+def control_h(eps: float, *, table_only: bool = False) -> float:
     """Convergence-step value at ``eps``.
 
-    Table region: ``h = 1/(1/2 + eps*b(eps))``.  Tail region: the unique
-    ``h`` whose two-term amplitude ``2 + h*eps^2/8`` equals the linear tail,
-    ``h = (tail(eps) - 2) / (eps^2/8)`` (exact algebraic inverse).
+    Table region: ``h = 1/(1/2 + eps*b(eps))``.  Tail region (past eps = 7,
+    unless ``table_only``): the unique ``h`` whose two-term amplitude
+    ``2 + h*eps^2/8`` equals the linear tail, ``h = (tail(eps) - 2) / (eps^2/8)``
+    (exact algebraic inverse).
     """
-    _check_range(eps, control)
-    if control.uses_tail(eps):
-        return (control.tail.amplitude(eps) - 2.0) / (_AMP_COEFFICIENT * eps * eps)
-    return _table_h(eps, step_coefficient(eps, control))
+    _check_range(eps)
+    if not table_only and eps > _EPS_SWITCH:
+        return (_tail(eps) - 2.0) / (_AMP_COEFFICIENT * eps * eps)
+    return _table_h(eps, step_coefficient(eps))
 
 
-def amplitude_ham(eps: float, control: HamControl = DEFAULT_CONTROL) -> float:
-    """Two-term amplitude ``2 + h(eps)*eps^2/8``, linear tail beyond the switch."""
-    _check_range(eps, control)
-    if control.uses_tail(eps):
-        return control.tail.amplitude(eps)
-    return _two_term(control_h(eps, control), eps)
+def amplitude_ham(eps: float, *, table_only: bool = False) -> float:
+    """Two-term amplitude ``2 + h(eps)*eps^2/8``, the linear tail past eps = 7
+    unless ``table_only``."""
+    _check_range(eps)
+    if not table_only and eps > _EPS_SWITCH:
+        return _tail(eps)
+    return _two_term(control_h(eps, table_only=True), eps)
 
 
-def breakpoint_jumps(control: HamControl = DEFAULT_CONTROL) -> Dict[float, float]:
+def breakpoint_jumps(*, table_only: bool = False) -> Dict[float, float]:
     """Amplitude discontinuities at the active table/tail boundaries.
 
     Keys are the boundary ``eps`` values, values the absolute jump between
     the amplitudes just below and just above each boundary.
     """
-    switch = control.tail.eps_switch if control.tail is not None else None
     jumps: Dict[float, float] = {}
-    rows = control.b_table
-    for (upper, b_left), (_, b_right) in zip(rows, rows[1:]):
-        if switch is not None and upper >= switch:
+    for (upper, b_left), (_, b_right) in zip(B_TABLE, B_TABLE[1:]):
+        if not table_only and upper >= _EPS_SWITCH:
             break
         left = _two_term(_table_h(upper, b_left), upper)
         right = _two_term(_table_h(upper, b_right), upper)
         jumps[upper] = abs(left - right)
-    if switch is not None:
-        left = _two_term(control_h(switch, control), switch)
-        jumps[switch] = abs(left - control.tail.amplitude(switch))
+    if not table_only:
+        jumps[_EPS_SWITCH] = abs(amplitude_ham(_EPS_SWITCH) - _tail(_EPS_SWITCH))
     return jumps

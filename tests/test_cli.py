@@ -30,7 +30,6 @@ from limitcycles.cli import (
 )
 from limitcycles.errors import DomainError
 from limitcycles.geometry import MAX_PIECES, read_curve
-from limitcycles.ham import TABLE_ONLY_CONTROL
 from limitcycles.integrator import IntegratorConfig, limit_cycle
 from limitcycles.oscillators import OscillatorSpec
 
@@ -126,6 +125,22 @@ class TestAmplitudeCommand:
         )
         assert result.returncode == 0, result.stderr
         assert printed_amplitude(result.stdout) == pytest.approx(2.0025, abs=0.01)
+
+    def test_table_only_keeps_the_table_past_the_switch(self, cli, tmp_path):
+        result = cli(
+            "amplitude", "--system", "rayleigh", "--eps", "10",
+            "--method", "ham", "--table-only",
+        )
+        assert result.returncode == 0, result.stderr
+        record = json.loads(
+            (tmp_path / "amplitude_rayleigh_ham_eps10.json").read_text()
+        )
+        h = record["control_h"]
+        assert h == pytest.approx(1.0 / (0.5 + 10.0 * 0.176), abs=1e-6)
+        assert h == pytest.approx(0.442478, abs=1e-6)
+        assert record["amplitude"] == pytest.approx(2.0 + h * 100.0 / 8.0, abs=1e-12)
+        # the default reading is on the linear tail there
+        assert record["amplitude"] != pytest.approx(7.604156, abs=1e-3)
 
     def test_domain_error_exits_one(self, tmp_path):
         result = run_cli(
@@ -288,19 +303,22 @@ class TestSweepCommand:
             # every config an older to_json() wrote carries "method": "RK45"
             ({"integrator": {"method": "DOP853"}}, "method"),
             ({"integrator": {"rel_tol": math.nan}}, "tolerances must be positive"),
-            ({"ham_control": {"b_table": [[4.0, math.nan], [50.0, 0.185]]}},
-             "coefficients must be positive"),
+            # the step-control law is fixed; a config carrying it is refused by name
+            ({"ham_control": {}}, "ham_control"),
             # the equilibrium would pass as a converged cycle of amplitude 0
             ({"integrator": {"seed": [0.0, 0.0]}}, "seed must be finite and not the origin"),
             ({"integrator": {"seed": [math.nan, 0.0]}}, "seed must be finite"),
             # each used to pass, and every exact point then failed in the CSV
             ({"integrator": {"seed": [2]}}, "seed must be a (y, z) pair"),
             ({"integrator": 5}, "integrator must be a JSON object"),
-            ({"integrator": None}, "integrator and ham_control must be JSON objects"),
+            ({"integrator": None}, "integrator must be a JSON object"),
             ({"eps_grid": ["a"]}, "cannot read config"),
+            # used to end in a TypeError traceback
+            (None, "a run config must be a JSON object, got None"),
         ],
-        ids=["method", "rel_tol", "b_table", "seed_origin", "seed_nan",
-             "seed_short", "integrator_scalar", "integrator_null", "eps_grid_text"],
+        ids=["method", "rel_tol", "ham_control", "seed_origin", "seed_nan",
+             "seed_short", "integrator_scalar", "integrator_null", "eps_grid_text",
+             "config_null"],
     )
     def test_config_refused_before_any_work(
         self, cli, tmp_path, monkeypatch, section, message
@@ -352,12 +370,24 @@ class TestCycleCommand:
         ET.fromstring(svg)
         assert "published table" in svg
 
-    def test_bundled_tables_only_at_eps_five(self, cli):
+    def test_bundled_tables_only_at_eps_five(self, cli, tmp_path, monkeypatch):
+        # refused before the cycle is integrated and its CSV written
+        monkeypatch.setattr(integrator, "solve_ivp", refuse_integration)
         result = cli(
             "cycle", "--system", "vdp", "--eps", "2", "--appendix-c",
         )
         assert result.returncode == 1
         assert "eps = 5" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_fit_tolerance_exits_one_before_integrating(
+        self, cli, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(integrator, "solve_ivp", refuse_integration)
+        result = cli("cycle", "--system", "rayleigh", "--eps", "1", "--fit", "0")
+        assert result.returncode == 1
+        assert "fit tolerance must be positive and finite" in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_fit_overlay_writes_curve(self, cli, tmp_path):
         result = cli(
@@ -387,10 +417,12 @@ class TestFitCommand:
         assert result.returncode == 2
         assert f"more than {MAX_PIECES} pieces" in result.stderr
 
-    def test_nan_tolerance_exits_one(self, cli):
+    def test_nan_tolerance_exits_one(self, cli, tmp_path, monkeypatch):
+        monkeypatch.setattr(integrator, "solve_ivp", refuse_integration)
         result = cli("fit", "--system", "vdp", "--eps", "1", "--tol", "nan")
         assert result.returncode == 1
         assert "fit tolerance must be positive and finite" in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputDirResolution:
@@ -492,7 +524,6 @@ class TestRunConfig:
             system="vdp",
             eps_grid=(0.5, 1.0, 2.0),
             integrator=IntegratorConfig(rel_tol=1e-8, n_samples=500),
-            ham_control=TABLE_ONLY_CONTROL,
             irgm_preset="vdp-consistent",
             output_dir="artifacts",
         )
@@ -502,7 +533,7 @@ class TestRunConfig:
         assert RunConfig.from_json(RunConfig().to_json()) == RunConfig()
 
     def test_missing_keys_keep_defaults(self):
-        config = RunConfig.from_dict({"integrator": {"rel_tol": 1e-8}, "ham_control": {}})
+        config = RunConfig.from_dict({"integrator": {"rel_tol": 1e-8}})
         assert config == RunConfig(integrator=IntegratorConfig(rel_tol=1e-8))
         with pytest.raises(TypeError):
             RunConfig.from_dict({"integrator": {"tolerance": 1e-8}})

@@ -7,15 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from limitcycles.claims import RAYLEIGH_A7, TAIL_SLOPE
 from limitcycles.errors import DomainError
 from limitcycles.ham import (
-    DEFAULT_CONTROL,
-    TABLE_ONLY_CONTROL,
     _AMP_COEFFICIENT,
-    HamControl,
     HamOrder,
-    LinearTail,
     amplitude_ham,
     base_order,
     breakpoint_jumps,
@@ -28,6 +26,8 @@ from limitcycles.ham import (
 from limitcycles.trigpoly import Poly2, TrigSeries
 
 F = Fraction
+
+_, EPS_SWITCH, A_SWITCH, _ = RAYLEIGH_A7  # the tail starts on a(7) = 5.63108
 
 # frozen expected values for the full order-0..2 chain ----------------------
 
@@ -124,67 +124,70 @@ def test_closed_form_coefficient_is_the_symbolic_one():
 def test_control_h_table_examples():
     assert control_h(1.0) == pytest.approx(1.510574, abs=1e-6)
     assert amplitude_ham(1.0) == pytest.approx(2.188822, abs=1e-6)
-    # the pure-table policy keeps using rows beyond the default switch
-    assert step_coefficient(10.0, TABLE_ONLY_CONTROL) == 0.176
-    assert control_h(10.0, TABLE_ONLY_CONTROL) == pytest.approx(0.442478, abs=1e-6)
+    # the table-only reading keeps using rows beyond the default switch
+    assert step_coefficient(10.0) == 0.176
+    assert control_h(10.0, table_only=True) == pytest.approx(0.442478, abs=1e-6)
 
 
 def test_tail_examples():
     assert amplitude_ham(20.0) == pytest.approx(14.181076, abs=1e-5)
-    # at eps=10 the default policy is already on the tail, unlike the table
+    # at eps=10 the default reading is already on the tail, unlike the table
     assert amplitude_ham(10.0) == pytest.approx(7.604156, abs=1e-5)
-    assert DEFAULT_CONTROL.uses_tail(10.0)
-    assert not DEFAULT_CONTROL.uses_tail(7.0)  # switch itself is table-side
+    assert amplitude_ham(10.0) == TAIL_SLOPE * (10.0 - EPS_SWITCH) + A_SWITCH
+    assert amplitude_ham(10.0) != amplitude_ham(10.0, table_only=True)
+    # the switch itself is table-side
+    assert amplitude_ham(7.0) == amplitude_ham(7.0, table_only=True)
+    assert amplitude_ham(7.0) != A_SWITCH
 
 
 def test_amplitude_equals_two_term_law_everywhere():
     # the tail h is the exact inverse of the amplitude line, so the two-term
     # law 2 + h*eps^2/8 must reproduce amplitude_ham in both regimes
-    for control in (DEFAULT_CONTROL, TABLE_ONLY_CONTROL):
-        for eps in np.linspace(0.2, 50.0, 113):
-            expected = 2.0 + control_h(eps, control) * eps * eps / 8.0
-            assert amplitude_ham(eps, control) == pytest.approx(expected, abs=1e-12)
+    # law 2 + h*eps^2/8 must reproduce amplitude_ham in both regimes; the
+    # grid takes in the switch and the floats on either side of it
+    grid = [*np.linspace(0.2, 50.0, 113), EPS_SWITCH, *np.nextafter(EPS_SWITCH, [0, 50])]
+    for table_only in (False, True):
+        for eps in grid:
+            expected = 2.0 + control_h(eps, table_only=table_only) * eps * eps / 8.0
+            assert amplitude_ham(eps, table_only=table_only) == pytest.approx(
+                expected, abs=1e-12
+            )
+
+
+@given(st.floats(min_value=0.0, max_value=50.0, exclude_min=True))
+@example(EPS_SWITCH)
+@example(float(np.nextafter(EPS_SWITCH, 50.0)))
+@example(50.0)
+@example(4.0)
+def test_readings_share_the_table_up_to_the_switch(eps):
+    table = 2.0 + 1.0 / (0.5 + eps * step_coefficient(eps)) * eps * eps / 8.0
+    assert amplitude_ham(eps, table_only=True) == table
+    if eps <= EPS_SWITCH:
+        assert amplitude_ham(eps) == table
+    else:
+        assert amplitude_ham(eps) == TAIL_SLOPE * (eps - EPS_SWITCH) + A_SWITCH
 
 
 def test_table_rows_are_right_closed():
     assert step_coefficient(4.0) == 0.162
     assert step_coefficient(4.0 + 1e-9) == 0.165
-    assert step_coefficient(50.0, TABLE_ONLY_CONTROL) == 0.185
+    assert step_coefficient(50.0) == 0.185
 
 
 def test_domain_validation():
-    for eps in (0.0, -1.0, 50.0 + 1e-9):
+    for eps in (0.0, -1.0, 50.0 + 1e-9, math.nan):
+        for table_only in (False, True):
+            with pytest.raises(DomainError):
+                control_h(eps, table_only=table_only)
+            with pytest.raises(DomainError):
+                amplitude_ham(eps, table_only=table_only)
         with pytest.raises(DomainError):
-            control_h(eps)
-        with pytest.raises(DomainError):
-            amplitude_ham(eps)
-
-
-def test_control_construction_validation():
-    with pytest.raises(DomainError):
-        HamControl(b_table=())
-    with pytest.raises(DomainError):
-        HamControl(b_table=((5.0, 0.1), (4.0, 0.2)))
-    with pytest.raises(DomainError):
-        HamControl(b_table=((4.0, -0.1),))
-    with pytest.raises(DomainError):
-        HamControl(b_table=((4.0, 0.1),), tail=LinearTail(eps_switch=10.0))
-    with pytest.raises(DomainError):
-        LinearTail(slope=-1.0)
-    # NaN fails every comparison, so each check must be written to refuse it
-    with pytest.raises(DomainError):
-        HamControl(b_table=((4.0, math.nan), (50.0, 0.185)))
-    with pytest.raises(DomainError):
-        HamControl(b_table=((math.nan, 0.1), (50.0, 0.185)))
-    with pytest.raises(DomainError):
-        LinearTail(slope=math.nan)
-    with pytest.raises(DomainError):
-        LinearTail(slope=math.inf)
+            step_coefficient(eps)
 
 
 def test_breakpoint_jumps_measured_values():
     # frozen measurements at the three active boundaries of the default
-    # policy; note two of them exceed 0.02 — the steps are visible
+    # reading; note two of them exceed 0.02 — the steps are visible
     jumps = breakpoint_jumps()
     assert set(jumps) == {4.0, 5.0, 7.0}
     assert jumps[4.0] == pytest.approx(0.0180224, abs=1e-6)
@@ -192,7 +195,7 @@ def test_breakpoint_jumps_measured_values():
     assert jumps[7.0] == pytest.approx(0.0234546, abs=1e-6)
     assert jumps[4.0] < 0.02 < jumps[5.0]
     assert jumps[7.0] > 0.02
-    # the pure-table policy steps at every interior boundary instead
-    table_jumps = breakpoint_jumps(TABLE_ONLY_CONTROL)
+    # the table-only reading steps at every interior boundary instead
+    table_jumps = breakpoint_jumps(table_only=True)
     assert set(table_jumps) == {4.0, 5.0, 7.0, 8.0, 9.0, 11.0, 15.0, 20.0, 30.0}
     assert all(v > 0 for v in table_jumps.values())
