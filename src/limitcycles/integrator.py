@@ -5,17 +5,19 @@ of ``y`` sit exactly on that section, so event location gives amplitude
 readings without any extra peak interpolation.
 
 :func:`solve_ivp` runs scipy's DOP853 (Dormand-Prince 8(5,3)) forward over a span as
-one loop over Python floats on the ``(y, z)`` pair: the tableau, initial step, error
-norm (the 5th-order estimate damped by the 3rd-order one) and step-size control,
+one loop over Python floats on the Lienard form ``y' = z, z' = a(y, z)`` that every
+oscillator here takes: the field is the acceleration ``a`` alone, and each stage's
+``y'`` is that stage's own ``z`` argument.  The tableau, initial step, error norm (the
+5th-order estimate damped by the 3rd-order one) and step-size control are scipy's,
 with each step's sums over the stages grouped as numpy's BLAS groups scipy's, so it
 takes scipy's steps with scipy's ``nfev`` unless an error estimate is roundoff,
-where BLAS's fused multiply-adds can part them.  On each accepted step it applies
-scipy's event sign test to ``z`` for each requested sense of ``z = 0`` crossing,
-finds each crossing with :func:`brentq` (a float port of scipy's) on the step's
-7th-order interpolant, and fills in the ``t_eval`` samples inside the step; a sample
-at the step's end takes the step's own state.  The interpolant, with its three extra
-stages, is built only on a step with a crossing or a sample.  A backward or empty
-span, or a grid outside the span or out of order, is refused before the first
+where BLAS's fused multiply-adds can part them.  Where a step's ``z`` touches or
+changes sign, scipy's event sign test picks the requested senses of ``z = 0``
+crossing, and :func:`brentq` (a float port of scipy's) finds each on the step's
+7th-order interpolant, which also fills in the ``t_eval`` samples inside the step; a
+sample at the step's end takes the step's own state.  The interpolant, with its three
+extra stages, is built only on a step with a crossing or a sample.  A backward or
+empty span, or a grid outside the span or out of order, is refused before the first
 evaluation, and a step that falls below scipy's 10-ulp floor raises.  No path here
 imports scipy; the worker pool loads only when ``jobs > 1``.
 
@@ -101,6 +103,8 @@ class IntegratorConfig:
     def transient_for(self, epsilon: float) -> float:
         if self.transient_time is not None:
             return self.transient_time
+        if not 2.0 * epsilon < math.inf:  # an infinite span would reach solve_ivp
+            raise DomainError(f"the transient 2*eps overflows at eps={epsilon!r}")
         return max(50.0, 2.0 * epsilon)
 
 
@@ -158,10 +162,8 @@ class AmplitudeCurve:
 
 
 # scipy's DOP853 as the same floats (Hairer, Norsett & Wanner, Solving ODEs I,
-# II.5-II.6): B is row 12 of A, and E3, E5 weigh the thirteen stages of a step
-_C = (0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-    0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778)
+# II.5-II.6): B is row 12 of A, and E3, E5 weigh the thirteen stages of a step; no
+# field here reads the time, so the stage times C are not kept
 _A = (  # row s: the weights of stages 0..s-1 in stage s; rows 13-15 are for dense output
     (), (0.05260015195876773,), (0.0197250569845379, 0.0591751709536137), (0.02958758547680685,
     0, 0.08876275643042054), (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
@@ -249,28 +251,29 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     raise ConvergenceError("brentq did not converge in 100 iterations")
 
 
-def _interpolant(fun, t_old, h, y_old, z_old, y, z, ky, kz):
+def _interpolant(accel, t_old, h, y_old, z_old, y, z, ky, kz):
     """DOP853's dense output over one step, ``s -> (y, z)``, as scipy builds it: three
-    more stages after the step's thirteen ``ky``, ``kz``, then seven coefficients per
-    component, summed in ``x = (s - t_old) / h`` by scipy's ``x`` / ``1 - x`` Horner."""
-    (*_, c13, c14, c15), (a13, a14, a15) = _C, _A[13:]
+    more stages after the step's thirteen ``ky``, ``kz`` (each extra stage's ``y'`` is
+    its own ``z``), then seven coefficients per component, summed in
+    ``x = (s - t_old) / h`` by scipy's ``x`` / ``1 - x`` Horner."""
+    a13, a14, a15 = _A[13:]
     k0y, _, _, _, _, k5y, k6y, k7y, k8y, k9y, k10y, k11y, k12y = ky
     k0z, _, _, _, _, k5z, k6z, k7z, k8z, k9z, k10z, k11z, k12z = kz
-    k13y, k13z = fun(t_old + c13 * h, (
-        y_old + (a13[0] * k0y + a13[6] * k6y + a13[7] * k7y + a13[8] * k8y + a13[9] * k9y
-                 + a13[10] * k10y + a13[11] * k11y + a13[12] * k12y) * h,
-        z_old + (a13[0] * k0z + a13[6] * k6z + a13[7] * k7z + a13[8] * k8z + a13[9] * k9z
-                 + a13[10] * k10z + a13[11] * k11z + a13[12] * k12z) * h))
-    k14y, k14z = fun(t_old + c14 * h, (
-        y_old + (a14[0] * k0y + a14[5] * k5y + a14[6] * k6y + a14[7] * k7y + a14[10] * k10y
-                 + a14[11] * k11y + a14[12] * k12y + a14[13] * k13y) * h,
-        z_old + (a14[0] * k0z + a14[5] * k5z + a14[6] * k6z + a14[7] * k7z + a14[10] * k10z
-                 + a14[11] * k11z + a14[12] * k12z + a14[13] * k13z) * h))
-    k15y, k15z = fun(t_old + c15 * h, (
-        y_old + (a15[0] * k0y + a15[5] * k5y + a15[6] * k6y + a15[7] * k7y + a15[8] * k8y
-                 + a15[12] * k12y + a15[13] * k13y + a15[14] * k14y) * h,
-        z_old + (a15[0] * k0z + a15[5] * k5z + a15[6] * k6z + a15[7] * k7z + a15[8] * k8z
-                 + a15[12] * k12z + a15[13] * k13z + a15[14] * k14z) * h))
+    k13y = z_old + (a13[0] * k0z + a13[6] * k6z + a13[7] * k7z + a13[8] * k8z + a13[9] * k9z
+                    + a13[10] * k10z + a13[11] * k11z + a13[12] * k12z) * h
+    k13z = accel(y_old + (a13[0] * k0y + a13[6] * k6y + a13[7] * k7y + a13[8] * k8y
+                          + a13[9] * k9y + a13[10] * k10y + a13[11] * k11y
+                          + a13[12] * k12y) * h, k13y)
+    k14y = z_old + (a14[0] * k0z + a14[5] * k5z + a14[6] * k6z + a14[7] * k7z
+                    + a14[10] * k10z + a14[11] * k11z + a14[12] * k12z + a14[13] * k13z) * h
+    k14z = accel(y_old + (a14[0] * k0y + a14[5] * k5y + a14[6] * k6y + a14[7] * k7y
+                          + a14[10] * k10y + a14[11] * k11y + a14[12] * k12y
+                          + a14[13] * k13y) * h, k14y)
+    k15y = z_old + (a15[0] * k0z + a15[5] * k5z + a15[6] * k6z + a15[7] * k7z + a15[8] * k8z
+                    + a15[12] * k12z + a15[13] * k13z + a15[14] * k14z) * h
+    k15z = accel(y_old + (a15[0] * k0y + a15[5] * k5y + a15[6] * k6y + a15[7] * k7y
+                          + a15[8] * k8y + a15[12] * k12y + a15[13] * k13y
+                          + a15[14] * k14y) * h, k15y)
 
     dy, dz = y - y_old, z - z_old  # then the seven coefficients of each component
     py = [dy, h * k0y - dy, 2 * dy - h * (k12y + k0y)]
@@ -301,10 +304,10 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / 2**0.5
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
-    """Integrate ``fun(t, (y, z))`` forward over ``t_span`` by the float DOP853 loop of
-    the module docstring.  ``events`` holds the senses of the ``z = 0`` crossings to
-    find (``1.0`` upward, ``-1.0`` downward, ``0.0`` both), one ``t_events`` and
+def solve_ivp(accel, t_span, y0, rtol, atol, t_eval=None, events=()):
+    """Integrate ``y' = z, z' = accel(y, z)`` forward over ``t_span`` by the float DOP853
+    loop of the module docstring.  ``events`` holds the senses of the ``z = 0`` crossings
+    to find (``1.0`` upward, ``-1.0`` downward, ``0.0`` both), one ``t_events`` and
     ``y_events`` entry each; ``t_eval`` lies in ``t_span`` in non-decreasing order.
     Without ``t_eval``, ``yp`` holds the field at each ``t``: each step's last stage."""
     t, tf = map(float, t_span)
@@ -315,7 +318,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
         raise DomainError("t_eval must lie in t_span in non-decreasing order")
     y, z = map(float, y0)
     rtol, atol = max(float(rtol), 100 * _EPS), float(atol)  # scipy's rtol floor
-    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, *_ = _C
     ((), (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
      (a5_0, _, _, a5_3, a5_4), (a6_0, _, _, a6_3, a6_4, a6_5),
      (a7_0, _, _, a7_3, a7_4, a7_5, a7_6), (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
@@ -326,20 +328,22 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
     e3_0, _, _, _, _, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, _ = _E3
     e5_0, _, _, _, _, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, _ = _E5
 
-    # the initial step as scipy's select_initial_step picks it (error order 7)
-    k0y, k0z = fun(t, (y, z))
+    # the initial step as scipy's select_initial_step picks it (error order 7); a
+    # stage's y' is its z argument, so the first stage's is the step's own z
+    k0z = accel(y, z)
     sy, sz = atol + abs(y) * rtol, atol + abs(z) * rtol
-    d0, d1 = _rms(y / sy, z / sz), _rms(k0y / sy, k0z / sz)
+    d0, d1 = _rms(y / sy, z / sz), _rms(z / sy, k0z / sz)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tf - t)
-    fy, fz = fun(t + h0, (y + h0 * k0y, z + h0 * k0z))
+    fy = z + h0 * k0z
+    fz = accel(y + h0 * z, fy)
     nfev = 2
-    d2 = _rms((fy - k0y) / sy, (fz - k0z) / sz) / h0
+    d2 = _rms((fy - z) / sy, (fz - k0z) / sz) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, tf - t)
 
     n_samples = len(samples)
     ts, ys, zs = ([t], [y], [z]) if t_eval is None else ([], [], [])
-    fys, fzs = ([k0y], [k0z]) if t_eval is None else ([], [])
+    fzs = [k0z] if t_eval is None else []
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     while t < tf:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -350,54 +354,52 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
                                        "is less than spacing between numbers.")
             t_new = min(t + h_abs, tf)
             h = h_abs = t_new - t
-            k1y, k1z = fun(t + c1 * h, (y + a1_0 * k0y * h, z + a1_0 * k0z * h))
-            k2y, k2z = fun(t + c2 * h, (y + (a2_0 * k0y + a2_1 * k1y) * h,
-                                        z + (a2_0 * k0z + a2_1 * k1z) * h))
-            k3y, k3z = fun(t + c3 * h, (y + (a3_0 * k0y + a3_2 * k2y) * h,
-                                        z + (a3_0 * k0z + a3_2 * k2z) * h))
-            k4y, k4z = fun(t + c4 * h, (y + (a4_0 * k0y + (a4_2 * k2y + a4_3 * k3y)) * h,
-                                        z + (a4_0 * k0z + (a4_2 * k2z + a4_3 * k3z)) * h))
-            k5y, k5z = fun(t + c5 * h, (y + (a5_0 * k0y + a5_3 * k3y + a5_4 * k4y) * h,
-                                        z + (a5_0 * k0z + a5_3 * k3z + a5_4 * k4z) * h))
-            k6y, k6z = fun(t + c6 * h, (
-                y + (a6_0 * k0y + a6_3 * k3y + a6_4 * k4y + a6_5 * k5y) * h,
-                z + (a6_0 * k0z + a6_3 * k3z + a6_4 * k4z + a6_5 * k5z) * h))
-            k7y, k7z = fun(t + c7 * h, (
-                y + (a7_0 * k0y + a7_3 * k3y + a7_4 * k4y + a7_5 * k5y + a7_6 * k6y) * h,
-                z + (a7_0 * k0z + a7_3 * k3z + a7_4 * k4z + a7_5 * k5z + a7_6 * k6z) * h))
-            k8y, k8z = fun(t + c8 * h, (
-                y + (a8_0 * k0y + a8_3 * k3y + (a8_4 * k4y + a8_5 * k5y)
-                     + (a8_6 * k6y + a8_7 * k7y)) * h,
-                z + (a8_0 * k0z + a8_3 * k3z + (a8_4 * k4z + a8_5 * k5z)
-                     + (a8_6 * k6z + a8_7 * k7z)) * h))
-            k9y, k9z = fun(t + c9 * h, (
-                y + (a9_0 * k0y + a9_3 * k3y + (a9_4 * k4y + a9_5 * k5y)
-                     + (a9_6 * k6y + a9_7 * k7y) + a9_8 * k8y) * h,
-                z + (a9_0 * k0z + a9_3 * k3z + (a9_4 * k4z + a9_5 * k5z)
-                     + (a9_6 * k6z + a9_7 * k7z) + a9_8 * k8z) * h))
-            k10y, k10z = fun(t + c10 * h, (
-                y + (a10_0 * k0y + a10_3 * k3y + (a10_4 * k4y + a10_5 * k5y)
-                     + (a10_6 * k6y + a10_7 * k7y) + a10_8 * k8y + a10_9 * k9y) * h,
-                z + (a10_0 * k0z + a10_3 * k3z + (a10_4 * k4z + a10_5 * k5z)
-                     + (a10_6 * k6z + a10_7 * k7z) + a10_8 * k8z + a10_9 * k9z) * h))
-            k11y, k11z = fun(t + c11 * h, (
-                y + (a11_0 * k0y + a11_3 * k3y + (a11_4 * k4y + a11_5 * k5y) + (a11_6 * k6y
-                     + a11_7 * k7y) + a11_8 * k8y + a11_9 * k9y + a11_10 * k10y) * h,
-                z + (a11_0 * k0z + a11_3 * k3z + (a11_4 * k4z + a11_5 * k5z) + (a11_6 * k6z
-                     + a11_7 * k7z) + a11_8 * k8z + a11_9 * k9z + a11_10 * k10z) * h))
-            y_new = y + h * (b0 * k0y + b5 * k5y + (b6 * k6y + b7 * k7y)
+            k1y = z + a1_0 * k0z * h
+            k1z = accel(y + a1_0 * z * h, k1y)
+            k2y = z + (a2_0 * k0z + a2_1 * k1z) * h
+            k2z = accel(y + (a2_0 * z + a2_1 * k1y) * h, k2y)
+            k3y = z + (a3_0 * k0z + a3_2 * k2z) * h
+            k3z = accel(y + (a3_0 * z + a3_2 * k2y) * h, k3y)
+            k4y = z + (a4_0 * k0z + (a4_2 * k2z + a4_3 * k3z)) * h
+            k4z = accel(y + (a4_0 * z + (a4_2 * k2y + a4_3 * k3y)) * h, k4y)
+            k5y = z + (a5_0 * k0z + a5_3 * k3z + a5_4 * k4z) * h
+            k5z = accel(y + (a5_0 * z + a5_3 * k3y + a5_4 * k4y) * h, k5y)
+            k6y = z + (a6_0 * k0z + a6_3 * k3z + a6_4 * k4z + a6_5 * k5z) * h
+            k6z = accel(y + (a6_0 * z + a6_3 * k3y + a6_4 * k4y + a6_5 * k5y) * h, k6y)
+            k7y = z + (a7_0 * k0z + a7_3 * k3z + a7_4 * k4z + a7_5 * k5z + a7_6 * k6z) * h
+            k7z = accel(y + (a7_0 * z + a7_3 * k3y + a7_4 * k4y + a7_5 * k5y
+                             + a7_6 * k6y) * h, k7y)
+            k8y = z + (a8_0 * k0z + a8_3 * k3z + (a8_4 * k4z + a8_5 * k5z)
+                       + (a8_6 * k6z + a8_7 * k7z)) * h
+            k8z = accel(y + (a8_0 * z + a8_3 * k3y + (a8_4 * k4y + a8_5 * k5y)
+                             + (a8_6 * k6y + a8_7 * k7y)) * h, k8y)
+            k9y = z + (a9_0 * k0z + a9_3 * k3z + (a9_4 * k4z + a9_5 * k5z)
+                       + (a9_6 * k6z + a9_7 * k7z) + a9_8 * k8z) * h
+            k9z = accel(y + (a9_0 * z + a9_3 * k3y + (a9_4 * k4y + a9_5 * k5y)
+                             + (a9_6 * k6y + a9_7 * k7y) + a9_8 * k8y) * h, k9y)
+            k10y = z + (a10_0 * k0z + a10_3 * k3z + (a10_4 * k4z + a10_5 * k5z)
+                        + (a10_6 * k6z + a10_7 * k7z) + a10_8 * k8z + a10_9 * k9z) * h
+            k10z = accel(y + (a10_0 * z + a10_3 * k3y + (a10_4 * k4y + a10_5 * k5y)
+                              + (a10_6 * k6y + a10_7 * k7y) + a10_8 * k8y + a10_9 * k9y) * h,
+                         k10y)
+            k11y = z + (a11_0 * k0z + a11_3 * k3z + (a11_4 * k4z + a11_5 * k5z) + (a11_6 * k6z
+                        + a11_7 * k7z) + a11_8 * k8z + a11_9 * k9z + a11_10 * k10z) * h
+            k11z = accel(y + (a11_0 * z + a11_3 * k3y + (a11_4 * k4y + a11_5 * k5y)
+                              + (a11_6 * k6y + a11_7 * k7y) + a11_8 * k8y + a11_9 * k9y
+                              + a11_10 * k10y) * h, k11y)
+            y_new = y + h * (b0 * z + b5 * k5y + (b6 * k6y + b7 * k7y)
                              + (b8 * k8y + b9 * k9y) + (b10 * k10y + b11 * k11y))
             z_new = z + h * (b0 * k0z + b5 * k5z + (b6 * k6z + b7 * k7z)
                              + (b8 * k8z + b9 * k9z) + (b10 * k10z + b11 * k11z))
-            k12y, k12z = fun(t + h, (y_new, z_new))
+            k12z = accel(y_new, z_new)
             nfev += 12
             sy = atol + max(abs(y), abs(y_new)) * rtol
             sz = atol + max(abs(z), abs(z_new)) * rtol
-            e5y = (e5_0 * k0y + e5_5 * k5y + (e5_6 * k6y + e5_7 * k7y)
+            e5y = (e5_0 * z + e5_5 * k5y + (e5_6 * k6y + e5_7 * k7y)
                    + (e5_8 * k8y + e5_9 * k9y) + (e5_10 * k10y + e5_11 * k11y)) / sy
             e5z = (e5_0 * k0z + e5_5 * k5z + (e5_6 * k6z + e5_7 * k7z)
                    + (e5_8 * k8z + e5_9 * k9z) + (e5_10 * k10z + e5_11 * k11z)) / sz
-            e3y = (e3_0 * k0y + e3_5 * k5y + (e3_6 * k6y + e3_7 * k7y)
+            e3y = (e3_0 * z + e3_5 * k5y + (e3_6 * k6y + e3_7 * k7y)
                    + (e3_8 * k8y + e3_9 * k9y) + (e3_10 * k10y + e3_11 * k11y)) / sy
             e3z = (e3_0 * k0z + e3_5 * k5z + (e3_6 * k6z + e3_7 * k7z)
                    + (e3_8 * k8z + e3_9 * k9z) + (e3_10 * k10z + e3_11 * k11z)) / sz
@@ -412,11 +414,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
             h_abs, rejected = h_abs * max(0.2, 0.9 * error_norm**-0.125), True
 
         t_old, y_old, z_old, t, y, z = t, y, z, t_new, y_new, z_new
-        crossed = [i for i, sense in enumerate(events)  # scipy's find_active_events on z
-                   if (z_old <= 0 <= z and sense >= 0) or (z_old >= 0 >= z and sense <= 0)]
+        up, down = z_old <= 0 <= z, z_old >= 0 >= z  # scipy's find_active_events on z
+        crossed = [i for i, sense in enumerate(events)
+                   if up and sense >= 0 or down and sense <= 0] if up or down else ()
         if crossed or len(ts) < n_samples and samples[len(ts)] <= t:  # interpolant needed
-            sol = _interpolant(fun, t_old, h, y_old, z_old, y, z, (
-                k0y, k1y, k2y, k3y, k4y, k5y, k6y, k7y, k8y, k9y, k10y, k11y, k12y), (
+            sol = _interpolant(accel, t_old, h, y_old, z_old, y, z, (
+                z_old, k1y, k2y, k3y, k4y, k5y, k6y, k7y, k8y, k9y, k10y, k11y, z), (
                 k0z, k1z, k2z, k3z, k4z, k5z, k6z, k7z, k8z, k9z, k10z, k11z, k12z))
             nfev += 3
         for i in crossed:
@@ -424,16 +427,17 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=()):
             t_events[i].append(root)
             y_events[i].append(sol(root))
         if t_eval is None:
-            ts.append(t), ys.append(y), zs.append(z), fys.append(k12y), fzs.append(k12z)
+            ts.append(t), ys.append(y), zs.append(z), fzs.append(k12z)
         while len(ts) < n_samples and samples[len(ts)] <= t:
             s = samples[len(ts)]
             s_y, s_z = (y, z) if s == t else sol(s)  # the step's end takes its own state
             ts.append(s), ys.append(s_y), zs.append(s_z)
-        k0y, k0z = k12y, k12z
+        k0z = k12z
 
-    return SimpleNamespace(  # the fields of scipy's OdeResult read here, and yp
+    return SimpleNamespace(  # the fields of scipy's OdeResult read here, and yp: (z, z')
         t=np.array(ts), y=np.array((ys, zs)), t_events=[np.array(te) for te in t_events],
-        y_events=[np.array(ye) for ye in y_events], nfev=nfev, yp=np.array((fys, fzs)))
+        y_events=[np.array(ye) for ye in y_events], nfev=nfev,
+        yp=np.array((zs, fzs)) if t_eval is None else np.empty((2, 0)))
 
 
 def integrate(
@@ -444,11 +448,13 @@ def integrate(
     config: Optional[IntegratorConfig] = None,
 ) -> Trajectory:
     """Integrate from ``seed`` over ``[0, t_final]``; the output holds the
-    solver's own accepted steps."""
+    solver's own accepted steps.  The seed may be the origin, which stays put."""
     cfg = config or IntegratorConfig()
     if not 0 < t_final < math.inf:  # NaN fails here too
         raise DomainError(f"t_final must be positive and finite, got {t_final!r}")
     state = np.asarray(seed if seed is not None else cfg.seed, dtype=float)
+    if state.shape != (2,) or not np.isfinite(state).all():
+        raise DomainError(f"seed must be a finite (y, z) pair, got {seed!r}")
     sol = solve_ivp(spec.field_function(), (0.0, t_final), state, cfg.rel_tol, cfg.abs_tol)
     return Trajectory(sol.t, sol.y[0], sol.y[1])
 
@@ -464,13 +470,13 @@ def _converge(spec: OscillatorSpec, cfg: IntegratorConfig):
     period, the readings, the watch steps since the penultimate maximum and
     the last two maxima as ``(times, states)``.
     """
-    fun = spec.field_function()
+    accel = spec.field_function()
 
     # pull the seed toward the cycle before watching the section
     state = np.asarray(cfg.seed, dtype=float)
     t_trans = cfg.transient_for(spec.epsilon)
     if t_trans > 0:
-        sol = solve_ivp(fun, (0.0, t_trans), state, cfg.rel_tol, cfg.abs_tol)
+        sol = solve_ivp(accel, (0.0, t_trans), state, cfg.rel_tol, cfg.abs_tol)
         state = sol.y[:, -1]
 
     period_est = 2.0 * math.pi
@@ -483,7 +489,7 @@ def _converge(spec: OscillatorSpec, cfg: IntegratorConfig):
 
     while len(amps) < cfg.max_cycles:
         chunk = max(25.0, 3.0 * period_est)
-        sol = solve_ivp(fun, (t_now, t_now + chunk), state, cfg.rel_tol, cfg.abs_tol,
+        sol = solve_ivp(accel, (t_now, t_now + chunk), state, cfg.rel_tol, cfg.abs_tol,
                         events=(1.0, -1.0))  # minima of y, then maxima
         t_up, t_dn = sol.t_events
         s_up, s_dn = sol.y_events

@@ -6,7 +6,9 @@ All systems are written as
     z' = -eps * f(y, z) - g(y)
 
 with a damping function ``f`` scaled by the nonlinearity parameter ``eps``
-and a restoring force ``g``.  Two named members:
+and a restoring force ``g``.  Since ``y' = z`` for every member,
+:meth:`OscillatorSpec.field_function` returns the acceleration ``z'`` alone, and
+the solver reads ``y'`` off the ``z`` it holds.  Two named members:
 
 * Rayleigh:     y'' + eps*(y'^3/3 - y') + y = 0,   f(y, z) = z**3/3 - z
 * Van der Pol:  x'' + eps*x'*(x^2 - 1)  + x = 0,   f(y, z) = z*(y**2 - 1)
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 from .errors import DomainError
 
@@ -78,27 +80,13 @@ class OscillatorSpec:
 
     # -- vector field ----------------------------------------------------------
 
-    def field_function(self) -> Callable[[float, Sequence[float]], Tuple[float, float]]:
-        """Right-hand side ``fun(t, (y, z))`` for ODE solvers, returning the
-        tuple ``(dy, dz)``."""
+    def field_function(self) -> Callable[[float, float], float]:
+        """The acceleration ``a(y, z)``: the ``z'`` of the phase-plane field, whose
+        ``y'`` is ``z`` itself, so a solver reads it off the state it holds."""
         eps = self.epsilon
         if self.kind == RAYLEIGH:
-
-            def fun(t, state):
-                y, z = state
-                return z, eps * (z - z * z * z / 3.0) - y
-
-        elif self.kind == VAN_DER_POL:
-
-            def fun(t, state):
-                y, z = state
-                return z, eps * z * (1.0 - y * y) - y
-
-        else:
-            f, g = self.damping, self.restoring
-
-            def fun(t, state):
-                y, z = state
-                return z, -eps * f(y, z) - g(y)
-
-        return fun
+            return lambda y, z: eps * (z - z * z * z / 3.0) - y
+        if self.kind == VAN_DER_POL:
+            return lambda y, z: eps * z * (1.0 - y * y) - y
+        f, g = self.damping, self.restoring
+        return lambda y, z: -eps * f(y, z) - g(y)

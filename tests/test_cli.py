@@ -159,7 +159,8 @@ class TestAmplitudeCommand:
 
     @pytest.mark.parametrize(
         "method, eps, power",
-        [("rg", "1e120", "eps**3"), ("irgm", "1e200", "eps**h_rg")],
+        [("rg", "1e120", "eps**3"), ("irgm", "1e200", "eps**h_rg"),
+         ("exact", "1e308", "the transient 2*eps")],
     )
     def test_overflow_exits_one(self, cli, method, eps, power):
         result = cli(
@@ -268,6 +269,18 @@ class TestSweepCommand:
         assert ok["error"] == "" and float(ok["a_rg"]) > 2.0
         assert overflow["a_rg"] == ""
         assert overflow["error"] == "rg: eps**3 overflows at eps=1e+120"
+
+    def test_transient_overflow_is_recorded_in_its_row(self, cli, tmp_path):
+        # 2*eps used to reach the solver as an infinite span
+        result = cli("sweep", "--system", "rayleigh", "--grid", "1,1e308")
+        assert result.returncode == 0, result.stderr
+        with open(tmp_path / "sweep_rayleigh.csv", newline="") as fh:
+            ok, overflow = csv.DictReader(fh)
+        assert ok["error"] == "" and float(ok["a_exact"]) > 2.0
+        assert overflow["a_exact"] == ""
+        assert overflow["error"] == (
+            "DomainError: the transient 2*eps overflows at eps=1e+308"
+        )
 
     def test_failed_plot_leaves_no_svg(self, cli, tmp_path):
         # every row fails, so there is nothing to plot

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.dop853_coefficients import C as _C
 
 import limitcycles.integrator as integrator
 from limitcycles.cli import (
@@ -28,7 +29,7 @@ from limitcycles.integrator import (
     integrate,
     limit_cycle,
 )
-from limitcycles.integrator import _A, _C, _D, _E3, _E5, _EPS, _rms, brentq
+from limitcycles.integrator import _A, _D, _E3, _E5, _EPS, _rms, brentq
 from limitcycles.oscillators import OscillatorSpec
 
 
@@ -87,6 +88,24 @@ def test_integrate_refuses_a_non_finite_end_time(monkeypatch, t_final):
     monkeypatch.setattr(integrator, "solve_ivp", refuse)
     with pytest.raises(DomainError, match="positive and finite"):
         integrate(OscillatorSpec.van_der_pol(1.0), t_final)
+
+
+@pytest.mark.parametrize("seed", [(1.0, 2.0, 3.0), (math.nan, 0.0), (0.0, -math.inf),
+                                  (1.0,)], ids=["triple", "nan", "infinite", "single"])
+def test_integrate_refuses_a_seed_that_is_not_a_finite_pair(monkeypatch, seed):
+    # a triple used to fail in unpacking, a NaN to shrink the step to the floor
+    def refuse(*args, **kw):
+        raise AssertionError("integrator.solve_ivp was called")
+
+    monkeypatch.setattr(integrator, "solve_ivp", refuse)
+    with pytest.raises(DomainError, match=r"finite \(y, z\) pair"):
+        integrate(OscillatorSpec.van_der_pol(1.0), 1.0, seed=seed)
+
+
+def test_integrate_from_the_origin_stays_there():
+    # unlike a limit_cycle seed, the equilibrium is a well-defined trajectory
+    traj = integrate(OscillatorSpec.van_der_pol(1.0), 5.0, seed=(0.0, 0.0))
+    assert traj.t[-1] == 5.0 and not traj.y.any() and not traj.z.any()
 
 
 def test_harmonic_oscillator_recovers_circle():
@@ -365,6 +384,15 @@ def test_default_transient_is_max_of_fifty_and_two_eps(eps, expected):
     assert IntegratorConfig().transient_for(eps) == expected
 
 
+def test_a_transient_that_overflows_names_its_eps():
+    # 2*eps used to reach the solver as an infinite span
+    with pytest.raises(DomainError, match=r"overflows at eps=1e\+308"):
+        IntegratorConfig().transient_for(1e308)
+    assert IntegratorConfig(transient_time=5.0).transient_for(1e308) == 5.0
+    curve = amplitude_sweep("vanderpol", [1e308])
+    assert curve.errors == ("DomainError: the transient 2*eps overflows at eps=1e+308",)
+
+
 @pytest.mark.parametrize("t_trans", [0.0, 7.5, 1000.0])
 def test_explicit_transient_wins(t_trans):
     cfg = IntegratorConfig(transient_time=t_trans)
@@ -407,12 +435,18 @@ def _section(sense):
 
 
 def _counted(fun):
-    def counted(t, state):
+    def counted(*args):
         counted.calls += 1
-        return fun(t, state)
+        return fun(*args)
 
     counted.calls = 0
     return counted
+
+
+def _generic(accel):
+    """The phase-plane field ``fun(t, (y, z)) -> (y', z')`` around an acceleration,
+    in the shape scipy and the reference loop call."""
+    return lambda t, s: (s[1], accel(*s))
 
 
 # The float loop groups its sums as numpy's BLAS does, but without the fused
@@ -430,9 +464,10 @@ def test_planar_stepper_matches_scipy_dop853(kind, eps):
     # the three calls limit_cycle makes: transient, watch (events) and
     # resample (t_eval); same steps, same evaluations, same numbers
     cfg = IntegratorConfig()
-    fun = OscillatorSpec(kind, eps).field_function()
+    accel = OscillatorSpec(kind, eps).field_function()
+    fun = _generic(accel)
     span = (0.0, cfg.transient_for(eps))
-    ours = integrator.solve_ivp(fun, span, cfg.seed, cfg.rel_tol, cfg.abs_tol)
+    ours = integrator.solve_ivp(accel, span, cfg.seed, cfg.rel_tol, cfg.abs_tol)
     ref = _scipy_dop853(fun, span, np.array(cfg.seed), cfg)
     if (kind, eps) not in ROUNDOFF_TRANSIENTS:
         assert ours.nfev == ref.nfev
@@ -440,7 +475,7 @@ def test_planar_stepper_matches_scipy_dop853(kind, eps):
     np.testing.assert_allclose(ours.y[:, -1], ref.y[:, -1], rtol=0, atol=1e-9)
 
     state = ref.y[:, -1]
-    ours = integrator.solve_ivp(fun, (0.0, 25.0), state, cfg.rel_tol, cfg.abs_tol,
+    ours = integrator.solve_ivp(accel, (0.0, 25.0), state, cfg.rel_tol, cfg.abs_tol,
                                 events=SENSES)
     ref = _scipy_dop853(fun, (0.0, 25.0), state, cfg, events=[_section(s) for s in SENSES])
     assert ours.nfev == ref.nfev
@@ -450,7 +485,7 @@ def test_planar_stepper_matches_scipy_dop853(kind, eps):
         np.testing.assert_allclose(t_ours, t_ref, rtol=0, atol=1e-11)
 
     t_eval = np.linspace(0.0, 10.0, 200)
-    ours = integrator.solve_ivp(fun, (0.0, 10.0), state, cfg.rel_tol, cfg.abs_tol,
+    ours = integrator.solve_ivp(accel, (0.0, 10.0), state, cfg.rel_tol, cfg.abs_tol,
                                 t_eval=t_eval)
     ref = _scipy_dop853(fun, (0.0, 10.0), state, cfg, t_eval=t_eval)
     assert ours.nfev == ref.nfev
@@ -459,24 +494,34 @@ def test_planar_stepper_matches_scipy_dop853(kind, eps):
 
 
 def test_planar_stepper_fails_like_scipy_at_a_blow_up():
-    # y' = y^2 from y(0) = 1 blows up at t = 1: the step shrinks to the 10-ulp
-    # floor, where scipy stops and the float loop raises, after as many calls
-    fun = _counted(lambda t, state: [state[0] * state[0], -state[1]])
+    # y'' = 6 y^2 from (y, y') = (1, 2) is y = 1/(1 - t)^2, which blows up at t = 1:
+    # the step shrinks to the 10-ulp floor, where scipy stops and the float loop
+    # raises, after as many calls.  y'' = 2 y^3 from (1, 1), y = 1/(1 - t), parts
+    # from scipy as ROUNDOFF_TRANSIENTS do: BLAS's fused multiply-adds round its first
+    # error estimate apart, its second step ends 1.5e-10 from scipy's, and it attempts
+    # one step more (6,278 calls against 6,266), so it fails with scipy's message
+    # after as many calls as the reference loop makes
     kw = dict(rtol=1e-9, atol=1e-11)
-    ref = solve_ivp(fun, (0.0, 2.0), [1.0, 1.0], method="DOP853", **kw)
-    assert not ref.success and fun.calls == ref.nfev
-    fun.calls = 0
-    with pytest.raises(ConvergenceError) as failure:
-        integrator.solve_ivp(fun, (0.0, 2.0), [1.0, 1.0], **kw)
-    assert str(failure.value) == "integration failed: " + ref.message
-    assert fun.calls == ref.nfev
+    for field, y0, roundoff in ((lambda y, z: 6.0 * y * y, [1.0, 2.0], False),
+                                (_blow_up, [1.0, 1.0], True)):
+        accel = _counted(field)
+        ref = solve_ivp(_generic(accel), (0.0, 2.0), y0, method="DOP853", **kw)
+        assert not ref.success and accel.calls == ref.nfev
+        calls = ref.nfev
+        if roundoff:
+            calls = reference_solve_ivp(_generic(field), (0.0, 2.0), y0, **kw).nfev
+        accel.calls = 0
+        with pytest.raises(ConvergenceError) as failure:
+            integrator.solve_ivp(accel, (0.0, 2.0), y0, **kw)
+        assert str(failure.value) == "integration failed: " + ref.message
+        assert accel.calls == calls
 
 
 @pytest.mark.parametrize("t_span", [(0.0, -2.0), (0.0, 0.0), (0.0, math.nan),
                                     (0.0, math.inf), (math.nan, 1.0)],
                          ids=["backward", "empty", "nan", "infinite", "nan-start"])
 def test_span_not_forward_is_refused_before_any_call(t_span):
-    fun = _counted(lambda t, state: (state[1], -state[0]))
+    fun = _counted(lambda y, z: -y)
     with pytest.raises(DomainError, match="run forward"):
         integrator.solve_ivp(fun, t_span, (1.0, 0.0), 1e-9, 1e-11)
     assert fun.calls == 0
@@ -495,7 +540,7 @@ def test_grid_outside_the_span_or_out_of_order_is_refused(t_eval):
 
 def test_tableau_literals_are_scipys_dop853():
     # _A holds row s of scipy's A up to its diagonal, the 3 extra stages'
-    # rows included; B is row 12
+    # rows included; B is row 12.  No field reads the time, so C has no copy
     full = np.zeros((dop853_coefficients.N_STAGES_EXTENDED,) * 2)
     for s, row in enumerate(integrator._A):
         assert len(row) == s
@@ -503,7 +548,6 @@ def test_tableau_literals_are_scipys_dop853():
     np.testing.assert_array_equal(full, dop853_coefficients.A)
     np.testing.assert_array_equal(np.array(integrator._A[12]), dop853_coefficients.B)
     for ours, ref in [
-        (integrator._C, dop853_coefficients.C),
         (integrator._E3, dop853_coefficients.E3),
         (integrator._E5, dop853_coefficients.E5),
         (integrator._D, dop853_coefficients.D),
@@ -538,9 +582,10 @@ def _blocked(weights, ks):
 
 
 def _reference_interpolant(fun, t_old, h, y_old, z_old, y, z, ky, kz):
-    """Reference dense output: the 3 extra stages and the coefficients as
-    loops over the tableau rows, then scipy's Horner loop over the reversed
-    coefficients, multiplying by ``x`` and ``1 - x`` in turn."""
+    """Reference dense output: the 3 extra stages of the field ``fun(t, (y, z))``
+    and the coefficients as loops over the tableau rows, then scipy's Horner
+    loop over the reversed coefficients, multiplying by ``x`` and ``1 - x`` in
+    turn."""
     ky, kz = list(ky), list(kz)
     for row, c in zip(_A[13:], _C[13:]):
         fy, fz = fun(t_old + c * h, (y_old + _combine(row, ky) * h,
@@ -567,7 +612,7 @@ def _reference_interpolant(fun, t_old, h, y_old, z_old, y, z, ky, kz):
 
 def test_unrolled_interpolant_is_the_generator_sum():
     rng = random.Random(7)
-    fun = OscillatorSpec.van_der_pol(3.0).field_function()
+    accel = OscillatorSpec.van_der_pol(3.0).field_function()
 
     def stage():
         # magnitudes over many decades, exact zeros of both signs included
@@ -578,7 +623,8 @@ def test_unrolled_interpolant_is_the_generator_sum():
         args = (t_old, h, rng.uniform(-5, 5), rng.uniform(-50, 50), rng.uniform(-5, 5),
                 rng.uniform(-50, 50), tuple(stage() for _ in range(13)),
                 tuple(stage() for _ in range(13)))
-        ours, ref = integrator._interpolant(fun, *args), _reference_interpolant(fun, *args)
+        ours = integrator._interpolant(accel, *args)
+        ref = _reference_interpolant(_generic(accel), *args)
         for s in (t_old, t_old + h, t_old + rng.random() * h):
             assert repr(ours(s)) == repr(ref(s))
 
@@ -588,7 +634,8 @@ def test_unrolled_interpolant_is_the_generator_sum():
 
 def reference_solve_ivp(fun, t_span, y0, t_eval=None, events=None, rtol=1e-3, atol=1e-6):
     """scipy's DOP853 as a generic float loop over the tableau rows, kept as
-    the oracle of the unrolled live loop: each stage, estimate and interpolant
+    the oracle of the unrolled live loop: the field is any ``fun(t, (y, z))``
+    returning ``(y', z')``, each stage, estimate and interpolant
     coefficient is a loop over its row (the step's sums in numpy's grouping,
     by :func:`_blocked`), each event a callable with scipy's
     ``direction``, and a failure comes back in scipy's ``success`` and
@@ -708,12 +755,13 @@ def _field_repr(sol, name):
     return repr(value.tolist() if isinstance(value, np.ndarray) else value)
 
 
-def _assert_same_solution(fun, t_span, y0, shape, **kw):
-    """The live loop repeats the reference: the same solution, or the same
-    failure raised after as many calls of ``fun``; returns the solution."""
+def _assert_same_solution(accel, t_span, y0, shape, **kw):
+    """The live loop on ``accel`` repeats the reference on its generic field: the
+    same solution, or the same failure raised after as many calls of ``accel``;
+    returns the solution."""
     ours_kw, ref_kw = _call_shape(shape, t_span)
-    ref = reference_solve_ivp(fun, t_span, y0, **ref_kw, **kw)
-    fun = _counted(fun)
+    ref = reference_solve_ivp(_generic(accel), t_span, y0, **ref_kw, **kw)
+    fun = _counted(accel)
     if not ref.success:
         with pytest.raises(ConvergenceError) as failure:
             integrator.solve_ivp(fun, t_span, y0, **ours_kw, **kw)
@@ -743,34 +791,80 @@ def test_trimmed_loop_is_the_reference_loop_bit_for_bit(kind, eps, shape):
         assert all(len(t) for t in sol.t_events)
 
 
-def _blow_up(t, state):
-    return state[0] * state[0], -state[1]
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["rayleigh", "vanderpol", "lienard"]), st.floats(0.05, 60.0),
+       st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+def test_live_loop_is_the_reference_loop_at_random_eps_and_seeds(kind, eps, seed):
+    # the transient and watch shapes from anywhere near the cycle, not only (2, 0)
+    spec = _vdp_as_callables(eps) if kind == "lienard" else OscillatorSpec(kind, eps)
+    cfg = IntegratorConfig()
+    for shape in ("plain", "events"):
+        _assert_same_solution(spec.field_function(), (0.0, 25.0), seed, shape,
+                              rtol=cfg.rel_tol, atol=cfg.abs_tol)
 
 
-def _nan_field(t, state):
-    return math.nan, state[0]
+def test_every_field_call_goes_through_the_field_lookup(monkeypatch):
+    # perfbench's tracer counts field calls by wrapping OscillatorSpec.field_function,
+    # as here, and solver evaluations by each call's nfev: a field the loop reached
+    # some other way would leave its rhs_calls short of its nfev
+    counts = {"calls": 0, "nfev": 0}
+    original = OscillatorSpec.field_function
+
+    def field_function(spec):
+        fun = original(spec)
+
+        def counted(t, state):
+            counts["calls"] += 1
+            return fun(t, state)
+
+        return counted
+
+    real = integrator.solve_ivp
+
+    def solve_ivp(*args, **kw):
+        sol = real(*args, **kw)
+        counts["nfev"] += sol.nfev
+        return sol
+
+    monkeypatch.setattr(OscillatorSpec, "field_function", field_function)
+    monkeypatch.setattr(integrator, "solve_ivp", solve_ivp)
+    for spec in (OscillatorSpec.rayleigh(5.0), OscillatorSpec.van_der_pol(5.0),
+                 _vdp_as_callables(5.0)):
+        limit_cycle(spec)
+        assert counts["calls"] == counts["nfev"] > 0
+        counts.update(calls=0, nfev=0)
+
+
+def _blow_up(y, z):
+    # from (y, y') = (1, 1) this is y = 1/(1 - t), which blows up at t = 1
+    return 2.0 * y * y * y
+
+
+def _nan_field(y, z):
+    return math.nan
 
 
 @pytest.mark.parametrize("shape", ["plain", "events", "t_eval"])
-@pytest.mark.parametrize("fun, t_span, y0", [
+@pytest.mark.parametrize("accel, t_span, y0", [
     (_blow_up, (0.0, 2.0), (1.0, 1.0)),
     (_nan_field, (0.0, 1.0), (2.0, 0.0)),
     # the equilibrium from signed zeros, where a dropped zero term could
     # show only in the sign of a zero
     (OscillatorSpec.van_der_pol(1.0).field_function(), (0.0, 10.0), (-0.0, -0.0)),
 ], ids=["blow-up-forward", "nan-field", "signed-zero-origin"])
-def test_trimmed_loop_is_the_reference_loop_on_degenerate_fields(fun, t_span, y0, shape):
-    _assert_same_solution(fun, t_span, y0, shape, rtol=1e-9, atol=1e-11)
+def test_trimmed_loop_is_the_reference_loop_on_degenerate_fields(accel, t_span, y0, shape):
+    _assert_same_solution(accel, t_span, y0, shape, rtol=1e-9, atol=1e-11)
 
 
 def test_watch_from_a_point_on_the_section_matches_scipy():
     # the seed (2, 0) starts on z = 0, so one event sees g = 0 at t0 and its
     # bracket opens on a root
     cfg = IntegratorConfig()
-    fun = OscillatorSpec.van_der_pol(1.0).field_function()
-    ours = integrator.solve_ivp(fun, (0.0, 25.0), cfg.seed, cfg.rel_tol, cfg.abs_tol,
+    accel = OscillatorSpec.van_der_pol(1.0).field_function()
+    ours = integrator.solve_ivp(accel, (0.0, 25.0), cfg.seed, cfg.rel_tol, cfg.abs_tol,
                                 events=SENSES)
-    ref = _scipy_dop853(fun, (0.0, 25.0), cfg.seed, cfg, events=[_section(s) for s in SENSES])
+    ref = _scipy_dop853(_generic(accel), (0.0, 25.0), cfg.seed, cfg,
+                        events=[_section(s) for s in SENSES])
     assert ref.t_events[1][0] == 0.0
     assert [len(t) for t in ours.t_events] == [len(t) for t in ref.t_events]
     for t_ours, t_ref in zip(ours.t_events, ref.t_events):
@@ -791,16 +885,17 @@ def test_nan_field_fails_instead_of_spinning():
     # rather than be attempted forever
     calls = 0
 
-    def fun(t, state):
+    def accel(y, z):
         nonlocal calls
         calls += 1
         if calls > 10_000:
             raise RuntimeError("the stepper kept attempting NaN steps")
-        return math.nan, state[0]
+        return math.nan
 
-    ref = reference_solve_ivp(_nan_field, (0.0, 1.0), (2.0, 0.0), rtol=1e-9, atol=1e-11)
+    ref = reference_solve_ivp(_generic(_nan_field), (0.0, 1.0), (2.0, 0.0), rtol=1e-9,
+                              atol=1e-11)
     with pytest.raises(ConvergenceError) as failure:
-        integrator.solve_ivp(fun, (0.0, 1.0), (2.0, 0.0), rtol=1e-9, atol=1e-11)
+        integrator.solve_ivp(accel, (0.0, 1.0), (2.0, 0.0), rtol=1e-9, atol=1e-11)
     assert str(failure.value) == "integration failed: " + ref.message
     assert calls == ref.nfev
 

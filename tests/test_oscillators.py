@@ -15,20 +15,26 @@ coords = st.floats(min_value=-5, max_value=5, allow_nan=False)
 eps_values = st.floats(min_value=0.01, max_value=50, allow_nan=False)
 
 
+def _field(spec):
+    """The phase-plane field ``fun(t, (y, z)) -> (y', z')`` around the acceleration."""
+    accel = spec.field_function()
+    return lambda t, s: (s[1], accel(*s))
+
+
 def test_rhs_goldens():
     # y'' + eps*(y'^3/3 - y') + y = 0 at (y, z) = (1, 2), eps = 2
-    dy, dz = OscillatorSpec.rayleigh(2.0).field_function()(0.0, (1.0, 2.0))
+    dy, dz = _field(OscillatorSpec.rayleigh(2.0))(0.0, (1.0, 2.0))
     assert dy == 2.0
     assert dz == pytest.approx(2.0 * (2.0 - 8.0 / 3.0) - 1.0)  # -7/3
     # x'' + eps*x'*(x^2 - 1) + x = 0 at (1, 2), eps = 2: cubic term vanishes
-    dy, dz = OscillatorSpec.van_der_pol(2.0).field_function()(0.0, (1.0, 2.0))
+    dy, dz = _field(OscillatorSpec.van_der_pol(2.0))(0.0, (1.0, 2.0))
     assert dy == 2.0
     assert dz == pytest.approx(-1.0)
 
 
 def test_custom_lienard_field():
     spec = OscillatorSpec.lienard(0.5, lambda y, z: z**3, lambda y: y**3)
-    dy, dz = spec.field_function()(0.0, (2.0, 1.0))
+    dy, dz = _field(spec)(0.0, (2.0, 1.0))
     assert dy == 1.0
     assert dz == pytest.approx(-0.5 * 1.0 - 8.0)
 
@@ -37,7 +43,7 @@ def test_custom_lienard_field():
 @given(eps_values, coords, coords)
 def test_field_is_odd(eps, y, z):
     for spec in (OscillatorSpec.rayleigh(eps), OscillatorSpec.van_der_pol(eps)):
-        fun = spec.field_function()
+        fun = _field(spec)
         dy, dz = fun(0.0, (y, z))
         dy_m, dz_m = fun(0.0, (-y, -z))
         assert dy_m == pytest.approx(-dy, rel=1e-12, abs=1e-12)
