@@ -1,6 +1,6 @@
-"""Command-line surface: amplitudes, sweeps, cycles, fits, and reports.
+"""Command-line surface: amplitudes, sweeps, cycles with fits, and reports.
 
-Five subcommands:
+Four subcommands:
 
 * ``amplitude`` — one number by one method (exact integration, tuned
   second-order expansion, plain flow balance, calibrated closed form, or the
@@ -10,14 +10,14 @@ Five subcommands:
 * ``cycle`` — one integrated limit cycle as CSV plus a phase-plane SVG,
   optionally overlaid with a fresh arc/segment fit (``--fit``) or with the
   bundled reference tables and their audit (``--appendix-c``);
-* ``fit`` — just the arc/segment fit, written as a curve file;
 * ``report`` — the full reproduction bundle: anchors, both sweeps, both
   phase portraits, and a discrepancy-notes file collecting every place the
   published numbers disagree with recomputation.
 
 Exit codes: 0 success, 1 domain error, 2 convergence failure.  The output
-directory is the ``--output-dir`` flag when given, else the
-``LIMITCYCLES_OUTPUT_DIR`` environment variable, else the working directory.
+directory is the ``--output-dir`` flag when given, else the config's
+``output_dir`` (``sweep`` and ``report``), else the ``LIMITCYCLES_OUTPUT_DIR``
+environment variable, else the working directory.
 All CSV numbers use 12 significant digits so artifacts diff cleanly.
 """
 
@@ -104,7 +104,7 @@ class RunConfig:
     )
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     irgm_preset: Optional[str] = None  # None: the system's own preset
-    output_dir: str = "."
+    output_dir: Optional[str] = None  # None: the environment variable, else "."
 
     def __post_init__(self):
         object.__setattr__(self, "system", _canonical_system(self.system))
@@ -118,20 +118,13 @@ class RunConfig:
         if self.irgm_preset is not None:
             get_preset(self.irgm_preset)  # an unknown name raises
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """Inverse of :meth:`to_dict`; a missing key keeps its default."""
-        return _from_plain(cls(), data)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
+        """Inverse of :meth:`to_json`; a missing key keeps its default."""
+        return _from_plain(cls(), json.loads(text))
 
 
 def _from_plain(default, value, name="a run config"):
@@ -266,20 +259,17 @@ def build_comparison(
                 "request one of them"
             )
 
-    exact: Dict[float, Optional[float]] = {}
-    errors: Dict[float, str] = {}
-    if "exact" in methods:
+    swept = [(math.nan, "")] * len(eps_grid)
+    if "exact" in methods:  # the sweep keeps the grid's order
         curve = amplitude_sweep(system, eps_grid, config, jobs=jobs)
-        for e, a, msg in zip(curve.eps, curve.amplitude, curve.errors):
-            exact[float(e)] = float(a) if math.isfinite(a) else None
-            errors[float(e)] = msg
+        swept = zip(curve.amplitude.tolist(), curve.errors)
 
     closed_forms = [m for m in methods if m != "exact"]
     rows = []
-    for eps in eps_grid:
-        a_exact = exact.get(eps)
+    for eps, (amplitude, message) in zip(eps_grid, swept):
+        a_exact = amplitude if math.isfinite(amplitude) else None
         values: Dict[str, Optional[float]] = {"a_exact": a_exact}
-        notes = [errors[eps]] if errors.get(eps) else []
+        notes = [message] if message else []
         for method in closed_forms:
             try:
                 values[_METHODS[method].column] = _amplitude_record(
@@ -554,17 +544,6 @@ def _print_table_audit(table: geometry.PiecewiseCurve, cycle) -> None:
     )
 
 
-def cmd_fit(args) -> int:
-    system = _canonical_system(args.system)
-    eps = float(args.eps)
-    out_dir = _resolve_output_dir(args.output_dir)
-    config = IntegratorConfig(n_samples=args.samples)
-    cycle, fitted, curve_path = _exact_cycle(system, eps, config, out_dir, args.tol)
-    _print_fit_summary(fitted, cycle)
-    print(f"wrote {curve_path}")
-    return 0
-
-
 def cmd_report(args) -> int:
     config = _load_config(args.config)
     out_dir = _resolve_output_dir(args.output_dir or config.output_dir)
@@ -724,8 +703,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_output(p):
         p.add_argument(
             "--output-dir",
-            help=f"artifact directory (default: ${OUTPUT_DIR_ENV} or the "
-            "working directory)",
+            help=f"artifact directory (default: a config's output_dir, else "
+            f"${OUTPUT_DIR_ENV}, else the working directory)",
         )
 
     p = sub.add_parser("amplitude", help="one amplitude by one method")
@@ -779,14 +758,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=2000, help="points per period")
     add_output(p)
     p.set_defaults(func=cmd_cycle)
-
-    p = sub.add_parser("fit", help="fit arcs/segments to a limit cycle")
-    p.add_argument("--system", required=True)
-    p.add_argument("--eps", required=True, type=float)
-    p.add_argument("--tol", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=2000)
-    add_output(p)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser(
         "report", help="emit the full reproduction bundle with discrepancy notes"

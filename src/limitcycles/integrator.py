@@ -18,8 +18,8 @@ crossing, and :func:`brentq` (a float port of scipy's) finds each on the step's
 sample at the step's end takes the step's own state.  The interpolant, with its three
 extra stages, is built only on a step with a crossing or a sample.  A backward or
 empty span, or a grid outside the span or out of order, is refused before the first
-evaluation, and a step that falls below scipy's 10-ulp floor raises.  No path here
-imports scipy; the worker pool loads only when ``jobs > 1``.
+evaluation; a step below scipy's 10-ulp floor, or a call past ``_MAX_NFEV`` field
+calls, raises.  No path here imports scipy; the worker pool loads only when ``jobs > 1``.
 
 :func:`limit_cycle` integrates past a transient of ``max(50, 2*epsilon)``
 time units (about one relaxation period at large epsilon, where the cycle
@@ -210,6 +210,9 @@ _D = (  # row j: the weights of the sixteen stages in the interpolant's coeffici
     96.32455395918828, -39.17726167561544, -149.72683625798564),
 )
 _EPS = 2.0**-52
+# field calls one solve_ivp call may make: the longest call at eps = 50 makes 30k and at
+# eps = 800 4.6M; cost grows about as eps**1.7, so eps = 1e4 is refused in seconds
+_MAX_NFEV = 5_000_000
 
 
 def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -318,6 +321,7 @@ def solve_ivp(accel, t_span, y0, rtol, atol, t_eval=None, events=()):
         raise DomainError("t_eval must lie in t_span in non-decreasing order")
     y, z = map(float, y0)
     rtol, atol = max(float(rtol), 100 * _EPS), float(atol)  # scipy's rtol floor
+    budget = _MAX_NFEV
     ((), (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
      (a5_0, _, _, a5_3, a5_4), (a6_0, _, _, a6_3, a6_4, a6_5),
      (a7_0, _, _, a7_3, a7_4, a7_5, a7_6), (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
@@ -393,6 +397,9 @@ def solve_ivp(accel, t_span, y0, rtol, atol, t_eval=None, events=()):
                              + (b8 * k8z + b9 * k9z) + (b10 * k10z + b11 * k11z))
             k12z = accel(y_new, z_new)
             nfev += 12
+            if nfev > budget:
+                raise ConvergenceError(f"integration stopped after {nfev} field calls, "
+                                       f"past its budget of {budget}")
             sy = atol + max(abs(y), abs(y_new)) * rtol
             sz = atol + max(abs(z), abs(z_new)) * rtol
             e5y = (e5_0 * z + e5_5 * k5y + (e5_6 * k6y + e5_7 * k7y)
@@ -568,12 +575,12 @@ def limit_cycle(spec: OscillatorSpec,
     )
 
 
-def _sweep_point(args) -> Tuple[int, float, str]:
-    index, kind, eps, config = args
+def _sweep_point(args) -> Tuple[float, str]:
+    kind, eps, config = args
     try:
-        return index, _converge(OscillatorSpec(kind, eps), config)[0], ""
+        return _converge(OscillatorSpec(kind, eps), config)[0], ""
     except Exception as exc:  # any failure stays in its grid slot
-        return index, math.nan, f"{type(exc).__name__}: {exc}"
+        return math.nan, f"{type(exc).__name__}: {exc}"
 
 
 def amplitude_sweep(
@@ -599,17 +606,13 @@ def amplitude_sweep(
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     eps_arr = np.asarray(list(eps_values), dtype=float)
-    tasks = [(i, kind, float(e), cfg) for i, e in enumerate(eps_arr)]
-    results: list = [None] * len(tasks)
-    if jobs > 1 and len(tasks) > 1:
+    tasks = [(kind, float(e), cfg) for e in eps_arr]
+    if jobs > 1 and len(tasks) > 1:  # pool.map keeps the grid's order
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for index, amp, msg in pool.map(_sweep_point, tasks):
-                results[index] = (amp, msg)
+            results = list(pool.map(_sweep_point, tasks))
     else:
-        for task in tasks:
-            index, amp, msg = _sweep_point(task)
-            results[index] = (amp, msg)
+        results = list(map(_sweep_point, tasks))
     amplitude = np.array([r[0] for r in results], dtype=float)
     errors = tuple(r[1] for r in results)
     return AmplitudeCurve(kind=kind, eps=eps_arr, amplitude=amplitude, errors=errors)

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -141,6 +142,17 @@ class TestAmplitudeCommand:
         assert record["amplitude"] == pytest.approx(2.0 + h * 100.0 / 8.0, abs=1e-12)
         # the default reading is on the linear tail there
         assert record["amplitude"] != pytest.approx(7.604156, abs=1e-3)
+
+    def test_large_eps_exits_two_at_the_field_call_budget(self, cli, tmp_path):
+        # it used to run for minutes; the budget stops it in about 3 s
+        start = time.monotonic()
+        result = cli(
+            "amplitude", "--system", "rayleigh", "--eps", "1e4", "--method", "exact",
+        )
+        assert time.monotonic() - start < 30.0
+        assert result.returncode == 2
+        assert "past its budget of 5000000" in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_domain_error_exits_one(self, tmp_path):
         result = run_cli(
@@ -397,10 +409,11 @@ class TestCycleCommand:
         self, cli, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(integrator, "solve_ivp", refuse_integration)
-        result = cli("cycle", "--system", "rayleigh", "--eps", "1", "--fit", "0")
-        assert result.returncode == 1
-        assert "fit tolerance must be positive and finite" in result.stderr
-        assert list(tmp_path.iterdir()) == []
+        for tol in ("0", "nan"):
+            result = cli("cycle", "--system", "rayleigh", "--eps", "1", "--fit", tol)
+            assert result.returncode == 1
+            assert "fit tolerance must be positive and finite" in result.stderr
+            assert list(tmp_path.iterdir()) == []
 
     def test_fit_overlay_writes_curve(self, cli, tmp_path):
         result = cli(
@@ -409,36 +422,37 @@ class TestCycleCommand:
         assert result.returncode == 0, result.stderr
         curve = read_curve(tmp_path / "fit_rayleigh_eps5.curve")
         assert 1 <= len(curve.pieces) <= 20
+        assert curve.symmetric
         assert "max distance" in result.stdout
 
-
-class TestFitCommand:
-    def test_writes_loadable_curve(self, cli, tmp_path):
-        result = cli(
-            "fit", "--system", "vdp", "--eps", "5", "--tol", "0.1",
-        )
-        assert result.returncode == 0, result.stderr
-        curve = read_curve(tmp_path / "fit_vanderpol_eps5.curve")
-        assert len(curve.pieces) <= 20
-        assert curve.symmetric
-
-    def test_piece_budget_failure_exits_two(self, tmp_path):
+    def test_fit_past_the_piece_budget_exits_two(self, tmp_path):
+        # the fit fails before the cycle's CSV is written
         result = run_cli(
-            "fit", "--system", "vdp", "--eps", "5", "--tol", "1e-4",
-            cwd=tmp_path,
+            "cycle", "--system", "vdp", "--eps", "5", "--fit", "1e-4", cwd=tmp_path,
         )
         assert result.returncode == 2
         assert f"more than {MAX_PIECES} pieces" in result.stderr
-
-    def test_nan_tolerance_exits_one(self, cli, tmp_path, monkeypatch):
-        monkeypatch.setattr(integrator, "solve_ivp", refuse_integration)
-        result = cli("fit", "--system", "vdp", "--eps", "1", "--tol", "nan")
-        assert result.returncode == 1
-        assert "fit tolerance must be positive and finite" in result.stderr
         assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputDirResolution:
+    def test_sweep_takes_the_flag_then_the_config_then_the_env_var(
+        self, cli, tmp_path, monkeypatch
+    ):
+        # a config's output_dir used to default to ".", which hid the env var
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "from_env"))
+        args = ("sweep", "--system", "vdp", "--grid", "1,2", "--methods", "fit")
+        (tmp_path / "run.json").write_text(json.dumps({"output_dir": "from_config"}))
+        for extra, target in [
+            ((), "from_env"),
+            (("--config", "run.json"), "from_config"),
+            (("--config", "run.json", "--output-dir", "flagged"), "flagged"),
+        ]:
+            result = cli(*args, *extra)
+            assert result.returncode == 0, result.stderr
+            assert (tmp_path / target / "sweep_vanderpol.csv").exists(), target
+        assert not (tmp_path / "sweep_vanderpol.csv").exists()
+
     def test_env_var_override(self, cli, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
@@ -546,16 +560,17 @@ class TestRunConfig:
         assert RunConfig.from_json(RunConfig().to_json()) == RunConfig()
 
     def test_missing_keys_keep_defaults(self):
-        config = RunConfig.from_dict({"integrator": {"rel_tol": 1e-8}})
+        config = RunConfig.from_json('{"integrator": {"rel_tol": 1e-8}}')
         assert config == RunConfig(integrator=IntegratorConfig(rel_tol=1e-8))
         with pytest.raises(TypeError):
-            RunConfig.from_dict({"integrator": {"tolerance": 1e-8}})
+            RunConfig.from_json('{"integrator": {"tolerance": 1e-8}}')
 
     def test_zero_config_is_valid(self):
         config = RunConfig()
         assert config.system == "rayleigh"
         assert config.eps_grid[0] == 0.5 and config.eps_grid[-1] == 50.0
         assert config.irgm_preset is None  # each system's own preset
+        assert config.output_dir is None  # the env var, else the working directory
 
     def test_grid_validation(self):
         with pytest.raises(DomainError, match="strictly increasing"):

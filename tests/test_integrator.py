@@ -170,6 +170,48 @@ def test_small_eps_remainders_scale_as_eps6(small_eps_cycles):
             assert 1.2e-5 <= (cycle.amplitude - a4) / eps**6 <= 2.4e-5, eps
 
 
+# -- large eps: the relaxation asymptotics (Dorodnitsyn, Prikl. Mat. Mekh. 11, 1947;
+# Grasman, Asymptotic Methods for Relaxation Oscillations and Applications, Springer,
+# 1987), another oracle that owes nothing to this integrator.  What T3 and A3 leave out
+# is of order 1/eps in the period and 1/eps**2 in the amplitude, so (T - T3)*eps and
+# (A - A3)*eps**2 approach constants, slowly and each in one direction.
+
+AIRY_ZERO = 2.338107410459767  # alpha, the first zero of -Ai
+
+
+def _relaxation_t3_a3(eps: float):
+    t3 = ((3 - 2 * math.log(2)) * eps + 3 * AIRY_ZERO * eps ** (-1 / 3)
+          - 2 / 3 * eps**-1 * math.log(eps))
+    a3 = 2 + AIRY_ZERO / 3 * eps ** (-4 / 3) - 16 / 27 * eps**-2 * math.log(eps)
+    return t3, a3
+
+
+# eps: the bands of (T - T3)*eps and (A - A3)*eps**2; measured -1.5206 / -1.4384 /
+# -1.3982 (both systems) and -0.8512 / -0.8696 / -0.8752 (van der Pol), where the
+# solver's 1e-9 relative error moves a product by at most about 2e-5
+LARGE_EPS_BANDS = {
+    20.0: ((-1.53, -1.51), (-0.86, -0.84)),
+    50.0: ((-1.45, -1.43), (-0.88, -0.86)),
+    100.0: ((-1.41, -1.39), (-0.885, -0.865)),
+}
+
+
+@pytest.mark.parametrize("kind", ["vanderpol", "rayleigh"])
+def test_large_eps_cycle_follows_the_relaxation_asymptotics(kind):
+    period_terms, amplitude_terms = [], []
+    for eps, (period_band, amplitude_band) in LARGE_EPS_BANDS.items():
+        amplitude, period, *_ = integrator._converge(OscillatorSpec(kind, eps),
+                                                     IntegratorConfig())
+        t3, a3 = _relaxation_t3_a3(eps)
+        period_terms.append((period - t3) * eps)
+        assert period_band[0] <= period_terms[-1] <= period_band[1], eps
+        if kind == "vanderpol":  # Rayleigh's y is not van der Pol's (x = y')
+            amplitude_terms.append((amplitude - a3) * eps**2)
+            assert amplitude_band[0] <= amplitude_terms[-1] <= amplitude_band[1], eps
+    assert all(a < b for a, b in zip(period_terms, period_terms[1:]))
+    assert all(a > b for a, b in zip(amplitude_terms, amplitude_terms[1:]))
+
+
 def test_seed_independence():
     a = limit_cycle(
         OscillatorSpec.rayleigh(1.0), IntegratorConfig(seed=(0.3, 0.0))
@@ -215,6 +257,13 @@ def test_non_convergence_paths():
         limit_cycle(OscillatorSpec.rayleigh(5.0), cfg)
 
 
+def test_a_field_without_section_crossings_is_refused():
+    # z' = 1: z grows from the seed's 0 and never crosses the section again
+    spec = OscillatorSpec.lienard(1.0, lambda y, z: 0.0, lambda y: -1.0)
+    with pytest.raises(ConvergenceError, match="no section crossings found for lienard"):
+        limit_cycle(spec)
+
+
 def test_max_cycles_holds_inside_one_watch_chunk():
     # at eps = 1 one 25-unit watch chunk holds about four maxima; only the
     # first max_cycles of them may count
@@ -228,6 +277,17 @@ def test_sweep_records_failures_without_aborting():
     curve = amplitude_sweep("rayleigh", [1.0], cfg)
     assert math.isnan(curve.amplitude[0])
     assert "settled" in curve.errors[0]
+
+
+def test_field_call_budget_sends_a_sweep_point_to_its_error_column(monkeypatch):
+    # the longest solve_ivp call makes about 6k field calls at eps = 1 and 31k at 50
+    unbounded = amplitude_sweep("vanderpol", [1.0, 50.0])
+    monkeypatch.setattr(integrator, "_MAX_NFEV", 20_000)
+    curve = amplitude_sweep("vanderpol", [1.0, 50.0])
+    assert curve.amplitude[0] == unbounded.amplitude[0]  # the check moves no number
+    assert math.isnan(curve.amplitude[1])
+    assert re.fullmatch(r"ConvergenceError: integration stopped after 20\d{3} field "
+                        r"calls, past its budget of 20000", curve.errors[1])
 
 
 def test_sweep_keeps_any_point_failure_in_its_slot(monkeypatch):
