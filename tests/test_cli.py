@@ -409,11 +409,10 @@ class TestCycleCommand:
         self, cli, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(integrator, "solve_ivp", refuse_integration)
-        for tol in ("0", "nan"):
-            result = cli("cycle", "--system", "rayleigh", "--eps", "1", "--fit", tol)
-            assert result.returncode == 1
-            assert "fit tolerance must be positive and finite" in result.stderr
-            assert list(tmp_path.iterdir()) == []
+        result = cli("cycle", "--system", "rayleigh", "--eps", "1", "--fit", "0")
+        assert result.returncode == 1
+        assert "fit tolerance must be positive and finite" in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_fit_overlay_writes_curve(self, cli, tmp_path):
         result = cli(
@@ -422,7 +421,6 @@ class TestCycleCommand:
         assert result.returncode == 0, result.stderr
         curve = read_curve(tmp_path / "fit_rayleigh_eps5.curve")
         assert 1 <= len(curve.pieces) <= 20
-        assert curve.symmetric
         assert "max distance" in result.stdout
 
     def test_fit_past_the_piece_budget_exits_two(self, tmp_path):
@@ -432,6 +430,24 @@ class TestCycleCommand:
         )
         assert result.returncode == 2
         assert f"more than {MAX_PIECES} pieces" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFitCommand:
+    """The fitted-curve job, run as `cycle --fit TOL`."""
+
+    def test_writes_loadable_curve(self, cli, tmp_path):
+        result = cli("cycle", "--system", "vdp", "--eps", "5", "--fit", "0.1")
+        assert result.returncode == 0, result.stderr
+        curve = read_curve(tmp_path / "fit_vanderpol_eps5.curve")
+        assert len(curve.pieces) <= 20
+        assert curve.symmetric
+
+    def test_nan_tolerance_exits_one(self, cli, tmp_path, monkeypatch):
+        monkeypatch.setattr(integrator, "solve_ivp", refuse_integration)
+        result = cli("cycle", "--system", "vdp", "--eps", "1", "--fit", "nan")
+        assert result.returncode == 1
+        assert "fit tolerance must be positive and finite" in result.stderr
         assert list(tmp_path.iterdir()) == []
 
 
